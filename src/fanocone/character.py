@@ -9,13 +9,14 @@ which converges for t > 0.  Two evaluation paths are provided:
 
 * :func:`index_character` sums the series directly over the finitely many
   lattice points with <alpha, xi> <= T, enumerated by a best-first traversal
-  of the semigroup.  This is the reference evaluation, feasible for moderate
-  t.
+  of the semigroup that steps along its Hilbert basis (the irreducible
+  generators).  This is the reference evaluation, feasible for moderate t.
 
 * :func:`character_series` evaluates the exact rational form obtained from a
   half-open triangulation of the dual cone: each half-open simplicial
   subcone contributes a finite numerator (its fundamental-parallelepiped
-  points) over a product of geometric-series denominators.  This closed form
+  points, listed from the group Z^n / U Z^n in exact integer arithmetic)
+  over a product of geometric-series denominators.  This closed form
   agrees with the direct sum to machine precision and remains cheap as
   t -> 0, where direct enumeration would need ~vol * (1/t)^n points.
 
@@ -44,17 +45,35 @@ TAIL_REL = 1e-12
 
 @lru_cache(maxsize=128)
 def _semigroup_generators(data: ToricConeData) -> tuple[tuple[int, ...], ...]:
-    """A (not necessarily minimal) generating set of the dual-cone semigroup:
-    the extreme rays plus all closed fundamental-parallelepiped points."""
+    """The Hilbert basis of the dual-cone semigroup, sorted.
+
+    The extreme rays of the dual cone plus the closed fundamental-
+    parallelepiped points of a triangulation generate the semigroup; of
+    these, a generator g is dropped when g - h lies in the dual cone for
+    some other generator h (that is, <r, g> >= <r, h> for every ray r of
+    sigma).  The dual-cone semigroup is saturated, so the survivors are
+    exactly its irreducible elements.  Candidates are taken in increasing
+    total pairing with the rays of sigma, so each is tested only against the
+    irreducibles already kept.
+    """
     dual = dual_cone(data.sigma)
     dec = triangulate(dual)
-    gens = set(dual.rays)
+    cands = set(dual.rays)
     for k in range(len(dec.simplices)):
         rays = dec.simplex_rays(k)
         for p in parallelepiped_points(rays, (False,) * len(rays)):
             if any(p):
-                gens.add(p)
-    return tuple(sorted(gens))
+                cands.add(p)
+    sigma_rays = data.sigma.rays
+    keyed = []
+    for g in cands:
+        pv = tuple(dot(r, g) for r in sigma_rays)
+        keyed.append((sum(pv), pv, g))
+    kept: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+    for _, pv, g in sorted(keyed):
+        if not any(all(a >= b for a, b in zip(pv, ph)) for ph, _ in kept):
+            kept.append((pv, g))
+    return tuple(sorted(g for _, g in kept))
 
 
 def enumerate_semigroup(data: ToricConeData, xi, bound: float) -> list[tuple[tuple[int, ...], float]]:
@@ -112,14 +131,16 @@ def default_truncation(t: float) -> float:
 
 @lru_cache(maxsize=128)
 def _series_data(form: VolumeForm):
-    """Per half-open simplex: (parallelepiped points, generator rays)."""
+    """Per half-open simplex: (parallelepiped points as n coordinate
+    columns, generator rays).  n tuples per simplex instead of one small
+    tuple per point keep the cache's memory down."""
     dec = form.decomposition
     masks = half_open_masks(dec)
     out = []
     for k, mask in enumerate(masks):
         rays = dec.simplex_rays(k)
         pts = parallelepiped_points(rays, mask)
-        out.append((tuple(pts), rays))
+        out.append((tuple(zip(*pts)), rays))
     return tuple(out)
 
 
@@ -132,11 +153,11 @@ def character_series(form: VolumeForm, xi, t: float) -> float:
         if dot(u, c) <= 0:
             raise NotInReebCone(f"<{u}, xi> <= 0")
     total = 0.0
-    for pts, rays in _series_data(form):
+    for cols, rays in _series_data(form):
         denom = 1.0
         for u in rays:
             denom *= -math.expm1(-t * float(dot(u, c)))
-        num = sum(math.exp(-t * float(dot(p, c))) for p in pts)
+        num = sum(math.exp(-t * float(dot(p, c))) for p in zip(*cols))
         total += num / denom
     return total
 

@@ -27,7 +27,7 @@ from .futaki import FINITE_DIFFERENCE, futaki, product_config
 from .gittoy import WeightedPoint, composed_equals_two_step, limit, mu_additivity
 from .ideals import MonomialIdeal, lct, multiplicity, normalized_multiplicity
 from .linalg import frac
-from .singularity import ToricConeData, reeb
+from .singularity import ToricConeData, _rat_str, reeb
 from .volume import (
     build_volume_form,
     is_ksemistable,
@@ -36,10 +36,6 @@ from .volume import (
     scan_hvol,
     vol,
 )
-
-
-def _rat_str(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
 def _parse_vector(text: str, exact: bool):

@@ -23,7 +23,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from .errors import NotFullDim, NotPointed
-from .linalg import Vec, dot, int_det, invert, nullspace, primitive, rank
+from .linalg import Vec, dot, int_adjugate, int_det, invert, nullspace, primitive, rank
 
 MAX_RANK = 6
 MAX_RAYS = 64
@@ -265,17 +265,18 @@ def triangulate(c: Cone, order: tuple[int, ...] | None = None) -> SimplicialDeco
 # ---------------------------------------------------------------------------
 
 
-def _simplex_inner_normals(rays: Sequence[tuple[int, ...]]) -> list[Vec]:
-    """For a full-dimensional simplicial cone, the inner normal of the facet
-    opposite each generator (normal j vanishes on all rays but ray j)."""
-    out = []
-    for j in range(len(rays)):
-        others = [r for i, r in enumerate(rays) if i != j]
-        h = nullspace(others)[0] if others else tuple(Fraction(x) for x in rays[0])
-        if dot(h, rays[j]) < 0:
-            h = tuple(-x for x in h)
-        out.append(h)
-    return out
+def _simplex_inner_normals(rays: Sequence[tuple[int, ...]]) -> tuple[int, list[tuple[int, ...]]]:
+    """For a full-dimensional simplicial cone, |det| of its generators and the
+    integer inner normal of the facet opposite each generator (normal j pairs
+    to |det| with ray j and to 0 with the others).
+
+    With U the matrix whose columns are the rays, row j of adj(U) pairs to
+    det(U) with ray j and to 0 with the others, so the normal is sign(det)
+    times it."""
+    cols = [[r[i] for r in rays] for i in range(len(rays))]
+    det, adj = int_adjugate(cols)
+    s = 1 if det > 0 else -1
+    return abs(det), [tuple(s * x for x in row) for row in adj]
 
 
 def half_open_masks(dec: SimplicialDecomposition) -> tuple[tuple[bool, ...], ...]:
@@ -288,13 +289,13 @@ def half_open_masks(dec: SimplicialDecomposition) -> tuple[tuple[bool, ...], ...
     """
     rays = dec.cone.rays
     normals = [
-        _simplex_inner_normals([rays[i] for i in s]) for s in dec.simplices
+        _simplex_inner_normals([rays[i] for i in s])[1] for s in dec.simplices
     ]
     w = None
     for m in range(10000):
         base = m + 2
         cand = tuple(
-            sum(base**j * Fraction(r[k]) for j, r in enumerate(rays))
+            sum(base**j * r[k] for j, r in enumerate(rays))
             for k in range(dec.cone.rank)
         )
         if all(dot(h, cand) != 0 for hs in normals for h in hs):
@@ -311,33 +312,43 @@ def parallelepiped_points(
     rays: Sequence[tuple[int, ...]], open_mask: Sequence[bool]
 ) -> list[tuple[int, ...]]:
     """Lattice points of the half-open fundamental parallelepiped
-    { sum_j t_j u_j : t_j in [0,1) closed / (0,1] open }.
+    { sum_j t_j u_j : t_j in [0,1) closed / (0,1] open }, sorted.
+
+    With U the matrix whose columns are the rays and d = |det U|, the points
+    are in bijection with the group Z^n / U Z^n, which the map
+    x -> (<h_j, x> mod d)_j, for h_j the integer facet normals (the rows of
+    sign(det) adj(U)), embeds into (Z/d)^n: a point has t = k/d for its image
+    k.  The images of the unit vectors generate the group, so closing them
+    under addition mod d lists its d elements k; each maps to the point
+    U k' / d, where k'_j = d if k_j = 0 and facet j is open, and k'_j = k_j
+    otherwise.  Exact integer arithmetic throughout, O(d n^2).
 
     The number of points equals |det| of the generators, which is asserted.
     """
     n = len(rays)
-    cols = [[rays[j][i] for j in range(n)] for i in range(n)]  # x = U t, U cols = rays
-    uinv = invert(cols)
-    lows = [sum(min(0, rays[j][i]) for j in range(n)) for i in range(n)]
-    highs = [sum(max(0, rays[j][i]) for j in range(n)) for i in range(n)]
+    d, normals = _simplex_inner_normals(rays)
+    zero = (0,) * n
+    gens = {tuple(h[i] % d for h in normals) for i in range(n)} - {zero}
+    group = {zero}
+    frontier = [zero]
+    while frontier:
+        nxt = []
+        for k in frontier:
+            for g in gens:
+                kg = tuple((a + b) % d for a, b in zip(k, g))
+                if kg not in group:
+                    group.add(kg)
+                    nxt.append(kg)
+        frontier = nxt
     pts = []
-    for p in itertools.product(*(range(lo, hi + 1) for lo, hi in zip(lows, highs))):
-        t = [dot(row, p) for row in uinv]
-        ok = True
-        for tj, is_open in zip(t, open_mask):
-            if is_open:
-                if not (0 < tj <= 1):
-                    ok = False
-                    break
-            else:
-                if not (0 <= tj < 1):
-                    ok = False
-                    break
-        if ok:
-            pts.append(tuple(p))
-    expected = abs(int_det(rays))
-    if len(pts) != expected:
+    for k in group:
+        kk = [d if kj == 0 and is_open else kj for kj, is_open in zip(k, open_mask)]
+        x = [sum(r[i] * kj for r, kj in zip(rays, kk)) for i in range(n)]
+        if any(c % d for c in x):
+            raise RuntimeError(f"residue {k} does not map to a lattice point")
+        pts.append(tuple(c // d for c in x))
+    if len(pts) != d:
         raise RuntimeError(
-            f"parallelepiped enumeration found {len(pts)} points, expected {expected}"
+            f"parallelepiped enumeration found {len(pts)} points, expected {d}"
         )
     return sorted(pts)

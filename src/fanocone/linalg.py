@@ -1,4 +1,5 @@
-"""Exact rational linear algebra on tuples of Fractions.
+"""Exact linear algebra: rationals on tuples of Fractions, and integer
+matrices (determinant, adjugate) in Python ints.
 
 Everything here is dense and small (rank <= 6, tens of rows), so the
 routines favor exactness and clarity over asymptotics.  Floats never enter;
@@ -92,26 +93,36 @@ def int_det(rows: Sequence[Sequence[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def det(rows: Sequence[Sequence[Rat]]) -> Fraction:
-    """Determinant of a square rational matrix."""
+def int_adjugate(rows: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]:
+    """Determinant and adjugate of a nonsingular square integer matrix, so
+    that ``A adj = adj A = det I``, by fraction-free Gauss-Jordan (Bareiss)
+    elimination of ``[A | I]``: every intermediate entry is a minor, so each
+    division is exact and everything stays in Python ints."""
     n = len(rows)
-    m = [[Fraction(x) for x in r] for r in rows]
-    out = Fraction(1)
+    m = [list(map(int, r)) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
+    if any(len(r) != 2 * n for r in m):
+        raise ValueError("matrix is not square")
+    sign = 1
+    prev = 1
     for k in range(n):
         piv = next((i for i in range(k, n) if m[i][k] != 0), None)
         if piv is None:
-            return Fraction(0)
+            raise ValueError("matrix is singular")
         if piv != k:
             m[k], m[piv] = m[piv], m[k]
-            out = -out
-        out *= m[k][k]
-        inv = 1 / m[k][k]
-        for i in range(k + 1, n):
-            if m[i][k] != 0:
-                c = m[i][k] * inv
-                for j in range(k, n):
-                    m[i][j] -= c * m[k][j]
-    return out
+            sign = -sign
+        mk = m[k]
+        pk = mk[k]
+        for i in range(n):
+            if i == k:
+                continue
+            mi = m[i]
+            f = mi[k]
+            m[i] = [(pk * a - f * b) // prev for a, b in zip(mi, mk)]
+        prev = pk
+    # the left block is now prev * I with prev = sign * det, and the right
+    # block is prev * A^-1 = sign * adj(A)
+    return sign * prev, [[sign * x for x in r[n:]] for r in m]
 
 
 def _echelon(rows: Sequence[Sequence[Rat]]) -> tuple[list[list[Fraction]], list[int]]:

@@ -8,6 +8,7 @@ differences.  Tests compare library outputs against these.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -20,7 +21,7 @@ from fanocone import (
     dual_cone,
     gorenstein_vector,
 )
-from fanocone.linalg import dot
+from fanocone.linalg import dot, int_det, invert
 
 
 # ---------------------------------------------------------------------------
@@ -50,6 +51,27 @@ def box_lattice_points(data: ToricConeData, xi, bound: float) -> list[tuple[int,
     for row in grid[keep]:
         pts.append(tuple(int(x) for x in row))
     return pts
+
+
+def box_parallelepiped_points(
+    rays: list[tuple[int, ...]], open_mask: list[bool]
+) -> list[tuple[int, ...]]:
+    """Lattice points of the half-open fundamental parallelepiped of the
+    simplicial cone over ``rays`` (flag j open: t_j in (0,1], else [0,1)),
+    sorted, by scanning its integer bounding box with exact rational
+    coordinates t = U^-1 x."""
+    n = len(rays)
+    cols = [[rays[j][i] for j in range(n)] for i in range(n)]
+    uinv = invert(cols)
+    lows = [sum(min(0, r[i]) for r in rays) for i in range(n)]
+    highs = [sum(max(0, r[i]) for r in rays) for i in range(n)]
+    pts = []
+    for p in itertools.product(*(range(lo, hi + 1) for lo, hi in zip(lows, highs))):
+        t = [dot(row, p) for row in uinv]
+        if all((0 < tj <= 1) if is_open else (0 <= tj < 1) for tj, is_open in zip(t, open_mask)):
+            pts.append(tuple(p))
+    assert len(pts) == abs(int_det(rays))
+    return sorted(pts)
 
 
 def counting_vol_estimate(data: ToricConeData, xi, k: int) -> float:

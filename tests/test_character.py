@@ -3,6 +3,8 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fanocone import (
     ToricConeData,
@@ -10,12 +12,17 @@ from fanocone import (
     build_volume_form,
     character_series,
     default_truncation,
+    dual_cone,
     enumerate_semigroup,
     index_character,
     leading_coefficient,
+    parallelepiped_points,
     sample_character,
+    triangulate,
     vol,
 )
+from fanocone.character import _semigroup_generators
+from fanocone.linalg import dot, rank
 
 import oracles
 
@@ -152,3 +159,70 @@ def test_sample_character_fields():
     assert sample.truncation_bound == default_truncation(0.5)
     d = sample.to_dict()
     assert set(d) == {"xi", "t_values", "F_values", "truncation_bound", "a0_estimate"}
+
+
+def _assert_irreducible(data: ToricConeData, gens) -> None:
+    """No generator is another generator plus a nonzero point of the dual
+    cone, i.e. g - h pairs negatively with some ray of sigma."""
+    pair = {g: [dot(r, g) for r in data.sigma.rays] for g in gens}
+    assert all(any(pair[g]) and min(pair[g]) >= 0 for g in gens)
+    for g in gens:
+        for h in gens:
+            if g != h:
+                assert not all(a >= b for a, b in zip(pair[g], pair[h])), (g, h)
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+def test_hilbert_basis_of_two_dim_cone(k):
+    # sigma = cone((0,1),(k,1)) has dual rays (1,0), (-1,k) of index k; the
+    # closed parallelepiped adds (0,1), ..., (0,k-1), of which only (0,1)
+    # is irreducible
+    data = ToricConeData.make(2, [(0, 1), (k, 1)])
+    dual = dual_cone(data.sigma)
+    assert dual.rays == ((-1, k), (1, 0))
+    dec = triangulate(dual)
+    cands = set(dual.rays)
+    for j in range(len(dec.simplices)):
+        cands.update(p for p in parallelepiped_points(dec.simplex_rays(j), (False, False)) if any(p))
+    assert len(cands) == k + 1
+    gens = _semigroup_generators(data)
+    assert gens == ((-1, k), (0, 1), (1, 0))
+    _assert_irreducible(data, gens)
+
+
+@st.composite
+def _small_cones(draw):
+    """A cone over 2-6 lattice points at height one, rank 2-4, with an
+    integer interior xi and a pairing bound m * min <u, xi> over the dual
+    rays u, so that the enumerated region lies inside conv(0, m u)."""
+    n = draw(st.integers(2, 4))
+    base = st.tuples(*[st.integers(-2, 2)] * (n - 1))
+    pts = draw(st.lists(base, min_size=n, max_size=n + 2, unique=True))
+    rays = [p + (1,) for p in pts]
+    assume(rank(rays) == n)
+    data = ToricConeData.make(n, rays)
+    weights = draw(st.lists(st.integers(1, 3), min_size=len(rays), max_size=len(rays)))
+    xi = tuple(sum(w * r[i] for w, r in zip(weights, rays)) for i in range(n))
+    step = min(dot(u, xi) for u in dual_cone(data.sigma).rays)
+    bound = step * draw(st.integers(1, 6 if n < 4 else 3))
+    return data, xi, bound
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_small_cones())
+def test_semigroup_walk_matches_box_scan(case):
+    data, xi, bound = case
+    walked = [p for p, _ in enumerate_semigroup(data, xi, float(bound))]
+    assert len(walked) == len(set(walked))
+    assert set(walked) == set(oracles.box_lattice_points(data, xi, float(bound)))
+    _assert_irreducible(data, _semigroup_generators(data))
+
+
+def test_leading_coefficient_on_cross4():
+    # cone over the 4-dimensional cross-polytope at height 1: the dual slice
+    # at height h is the cube [-h, h]^4, so vol(0,0,0,0,5) = 5! * 16 / 5^6
+    rays = [[s * (i == j) for j in range(4)] + [1] for i in range(4) for s in (1, -1)]
+    data = ToricConeData.make(5, rays)
+    lead = leading_coefficient(data, None, (0, 0, 0, 0, 5))
+    assert abs(lead.vol_value - 120 * 16 / 5**6) < 1e-15
+    assert abs(lead.a0 - lead.vol_value) <= 1e-3 * lead.vol_value

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fanocone import (
     Cone,
@@ -16,8 +19,10 @@ from fanocone import (
     parallelepiped_points,
     triangulate,
 )
-from fanocone.cones import _placing
-from fanocone.linalg import dot, int_det, invert, primitive
+from fanocone.cones import _placing, _simplex_inner_normals
+from fanocone.linalg import dot, int_adjugate, int_det, invert, primitive
+
+import oracles
 
 ORTHANT2 = Cone(rank=2, rays=((1, 0), (0, 1)))
 CONIFOLD = Cone(rank=3, rays=((0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)))
@@ -265,6 +270,60 @@ def test_parallelepiped_point_count_equals_det():
     pts_open = parallelepiped_points(rays, (True, False, False))
     assert len(pts_open) == 6
     assert (0, 0, 0) not in pts_open
+
+
+@st.composite
+def _simplices(draw):
+    """Generators of a simplicial cone of rank 1-6 with small |det| and a
+    small bounding box, plus an open-facet mask.  Up to rank 3 the entries
+    are arbitrary; from rank 4 on the matrix is lower bidiagonal with one
+    extra entry, with its coordinates and generators permuted and signed."""
+    n = draw(st.integers(1, 6))
+    if n <= 3:
+        rays = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * n), min_size=n, max_size=n))
+        assume(int_det(rays) != 0)
+    else:
+        diag = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+        assume(math.prod(diag) <= 24)
+        m = [[diag[i] if i == j else 0 for j in range(n)] for i in range(n)]
+        for i in range(1, n):
+            m[i][i - 1] = draw(st.integers(-1, 1))
+        i = draw(st.integers(2, n - 1))
+        m[i][draw(st.integers(0, i - 2))] = draw(st.integers(-1, 1))
+        coords = draw(st.permutations(range(n)))
+        order = draw(st.permutations(range(n)))
+        signs = draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
+        rays = [tuple(signs[j] * m[coords[i]][j] for i in range(n)) for j in order]
+    mask = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return rays, mask
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_simplices())
+def test_parallelepiped_points_match_box_scan(case):
+    rays, mask = case
+    assert parallelepiped_points(rays, mask) == oracles.box_parallelepiped_points(rays, mask)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_simplices())
+def test_int_adjugate_and_simplex_normals(case):
+    rays, _ = case
+    n = len(rays)
+    d, adj = int_adjugate(rays)
+    assert d == int_det(rays)
+    for i in range(n):
+        for j in range(n):
+            assert sum(rays[i][k] * adj[k][j] for k in range(n)) == d * (i == j)
+    size, normals = _simplex_inner_normals(rays)
+    assert size == abs(d)
+    for j, h in enumerate(normals):
+        assert [dot(h, r) for r in rays] == [size * (i == j) for i in range(n)]
+
+
+def test_int_adjugate_rejects_singular():
+    with pytest.raises(ValueError):
+        int_adjugate([[1, 2], [2, 4]])
 
 
 def test_cone_json_roundtrip_sorted_rays():
