@@ -1,8 +1,8 @@
 """fanocone: K-semistability of toric Fano cone singularities.
 
 The package decides K-semistability of a polarized toric cone singularity by
-minimizing the normalized volume over the Reeb cone, evaluates Futaki and
-Berman-Ding invariants of product test configurations, and ships desk-scale
+minimizing the normalized volume over the Reeb cone, evaluates Futaki
+invariants of product test configurations, and ships desk-scale
 checkers for the supporting identities (index-character asymptotics,
 normalized multiplicities of monomial ideals, one-parameter-subgroup limit
 composition).
@@ -44,7 +44,6 @@ from .errors import (
 from .futaki import (
     FutakiReport,
     ProductTestConfig,
-    ding_product,
     futaki,
     normalize_config,
     product_config,
@@ -81,15 +80,12 @@ from .singularity import (
     log_discrepancy,
     rationalize,
     reeb,
-    validate,
 )
 from .volume import (
     KSemistabilityVerdict,
     MinimizationResult,
     VolumeForm,
     build_volume_form,
-    grad_vol,
-    hess_vol,
     is_ksemistable,
     minimize_volume,
     normalized_volume,

@@ -23,7 +23,7 @@ from fractions import Fraction
 from . import __version__
 from .character import leading_coefficient, sample_character
 from .errors import FanoConeError
-from .futaki import FINITE_DIFFERENCE, futaki, product_config
+from .futaki import futaki, product_config
 from .gittoy import WeightedPoint, composed_equals_two_step, limit, mu_additivity
 from .ideals import MonomialIdeal, lct, multiplicity, normalized_multiplicity
 from .linalg import frac
@@ -113,8 +113,7 @@ def _cmd_futaki(args, obj) -> dict:
     xi0 = _parse_vector(args.xi0, args.exact)
     eta = _parse_vector(args.eta, args.exact)
     cfg = product_config(data, xi0, eta.coords)
-    method = FINITE_DIFFERENCE if args.finite_difference else "analytic-gradient"
-    return futaki(data, form, cfg, method=method).to_dict()
+    return futaki(data, form, cfg).to_dict()
 
 
 def _cmd_index_char(args, obj) -> dict:
@@ -199,12 +198,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--exact", action="store_true")
 
-    p = sub.add_parser("futaki", help="Futaki/Ding invariant of a product configuration")
+    p = sub.add_parser("futaki", help="Futaki invariant of a product configuration")
     add_common(p)
     p.add_argument("--xi0", required=True)
     p.add_argument("--eta", required=True)
     p.add_argument("--exact", action="store_true")
-    p.add_argument("--finite-difference", action="store_true")
 
     p = sub.add_parser("index-char", help="index character samples and leading coefficient")
     add_common(p)

@@ -1,4 +1,4 @@
-"""Futaki and Berman-Ding invariants of product test configurations.
+"""Futaki invariants of product test configurations.
 
 A product configuration is determined by the polarization xi0 together with a
 commuting one-parameter direction eta in the co-weight space.  With
@@ -14,10 +14,13 @@ An equivalent route differentiates the normalized volume instead:
 
     Fut(xi0; eta) = [d/deps|_0 hvol(xi0 - eps * eta)] / (n * A(xi0)^{n-1} * vol(xi0)).
 
-Both are computed and must agree (the identity follows from Euler's relation
-for the degree -n homogeneous function vol); the report carries both values.
-For product configurations the Ding invariant has no log-canonical-threshold
-correction and coincides with the Futaki invariant.
+Both routes are computed from one evaluation of vol and its gradient and
+must agree (the identity follows from Euler's relation for the degree -n
+homogeneous function vol); the report carries both values.  For product
+configurations the Berman-Ding invariant has no log-canonical-threshold
+correction and coincides with the Futaki invariant, so it is not reported
+separately.  There is no finite-difference mode: the tests compare both
+routes with central differences of vol and hvol.
 """
 
 from __future__ import annotations
@@ -28,10 +31,7 @@ from fractions import Fraction
 from .errors import DegenerateXi
 from .linalg import dot, vec_add, vec_scale, vec_sub
 from .singularity import ReebVector, ToricConeData, coords_of, gorenstein_vector, log_discrepancy, reeb
-from .volume import VolumeForm, build_volume_form, grad_vol, vol
-
-ANALYTIC = "analytic-gradient"
-FINITE_DIFFERENCE = "finite-difference"
+from .volume import VolumeForm, build_volume_form, vol
 
 
 @dataclass(frozen=True)
@@ -93,25 +93,15 @@ def t_normalize(data: ToricConeData, xi0, eta) -> tuple:
 @dataclass(frozen=True)
 class FutakiReport:
     fut: float
-    ding: float
     t_xi_eta: tuple
-    method: str
     fut_hvol_route: float
 
     def to_dict(self) -> dict:
         return {
             "fut": self.fut,
-            "ding": self.ding,
             "t_xi_eta": [float(v) for v in self.t_xi_eta],
-            "method": self.method,
             "fut_hvol_route": self.fut_hvol_route,
         }
-
-
-def _directional_derivative_fd(f, x: tuple[float, ...], d: tuple[float, ...], h: float) -> float:
-    xp = tuple(a + h * b for a, b in zip(x, d))
-    xm = tuple(a - h * b for a, b in zip(x, d))
-    return (f(xp) - f(xm)) / (2 * h)
 
 
 def futaki(
@@ -121,7 +111,6 @@ def futaki(
     *,
     xi0=None,
     eta=None,
-    method: str = ANALYTIC,
     consistency_rel_tol: float = 1e-9,
 ) -> FutakiReport:
     """Futaki invariant of the product configuration, by both routes.
@@ -130,8 +119,6 @@ def futaki(
     the second route differentiates the normalized volume against -eta and
     rescales.  A RuntimeError is raised when the two disagree beyond
     ``consistency_rel_tol`` relative, which would indicate a broken gradient.
-    With ``method='finite-difference'`` the derivative of vol is replaced by
-    a central difference with step 1e-5 * |xi0|.
     """
     if form is None:
         form = build_volume_form(data)
@@ -144,12 +131,11 @@ def futaki(
     e = tuple(float(v) for v in cfg.eta)
     t_vec = t_normalize(data, cfg.xi0, cfg.eta)
     t_f = tuple(float(v) for v in t_vec)
-    v0 = float(vol(form, x))
+    v0, g = vol(form, x, 1)
     a_xi = float(log_discrepancy(data, x))
-    gamma = tuple(float(g) for g in gorenstein_vector(data))
+    gamma = tuple(float(c) for c in gorenstein_vector(data))
 
-    g = grad_vol(form, x)
-    fut_analytic = -float(dot(g, t_f)) / v0
+    fut = -float(dot(g, t_f)) / v0
 
     # Second route: d/deps|_0 hvol(xi0 - eps eta) / (n A^{n-1} vol).
     grad_hvol = tuple(
@@ -158,40 +144,8 @@ def futaki(
     d_hvol = -float(dot(grad_hvol, e))
     fut_hvol = d_hvol / (n * a_xi ** (n - 1) * v0)
 
-    scale = max(1.0, abs(fut_analytic), abs(fut_hvol))
-    if abs(fut_analytic - fut_hvol) > consistency_rel_tol * scale:
-        raise RuntimeError(
-            f"futaki routes disagree: {fut_analytic} vs {fut_hvol}"
-        )
+    scale = max(1.0, abs(fut), abs(fut_hvol))
+    if abs(fut - fut_hvol) > consistency_rel_tol * scale:
+        raise RuntimeError(f"futaki routes disagree: {fut} vs {fut_hvol}")
 
-    if method == FINITE_DIFFERENCE:
-        h = 1e-5 * max(abs(v) for v in x)
-        d_vol = -_directional_derivative_fd(lambda p: float(vol(form, p)), x, t_f, h)
-        fut = d_vol / v0
-    elif method == ANALYTIC:
-        fut = fut_analytic
-    else:
-        raise ValueError(f"unknown method {method!r}")
-
-    return FutakiReport(
-        fut=fut,
-        ding=fut,
-        t_xi_eta=t_vec,
-        method=method,
-        fut_hvol_route=fut_hvol,
-    )
-
-
-def ding_product(
-    data: ToricConeData,
-    form: VolumeForm | None = None,
-    cfg: ProductTestConfig | None = None,
-    **kwargs,
-) -> float:
-    """Berman-Ding invariant of a product configuration.
-
-    The central fiber of a product configuration is the variety itself, so
-    the log-canonical-threshold correction term vanishes and the invariant
-    equals the Futaki invariant.
-    """
-    return futaki(data, form, cfg, **kwargs).fut
+    return FutakiReport(fut=fut, t_xi_eta=t_vec, fut_hvol_route=fut_hvol)

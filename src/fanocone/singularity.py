@@ -167,11 +167,6 @@ def gorenstein_vector(data: ToricConeData) -> Vec:
     return gamma
 
 
-def validate(data: ToricConeData) -> Vec:
-    """Alias of :func:`gorenstein_vector`; kept as the validation entry point."""
-    return gorenstein_vector(data)
-
-
 def in_reeb_cone(data: ToricConeData, xi) -> bool:
     return contains(data.sigma, coords_of(xi), strict=True)
 

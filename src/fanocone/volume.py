@@ -10,31 +10,34 @@ generators u_{s,1..n} and index det_s turns this limit into the finite sum
 
     vol(xi) = sum_s det_s / prod_j <u_{s,j}, xi>,
 
-which is exact for rational xi and evaluates in O(#simplices * n) together
-with its gradient and Hessian.  The normalized volume A(xi)^n * vol(xi) is
-invariant under rescaling xi, so its minimization is carried out on the
-affine slice {A(xi) = n}, where the objective is smooth and strictly convex
-and a damped Newton iteration converges quadratically.
+which is exact for rational xi.  One evaluator, :func:`vol`, returns the
+value and, on request, the gradient and Hessian from the same pairings
+<u_{s,j}, xi>.  The normalized volume A(xi)^n * vol(xi) is invariant under
+rescaling xi, so its minimization is carried out on the affine slice
+{A(xi) = n}, where the objective is smooth and strictly convex and a damped
+Newton iteration converges quadratically.  The iteration runs in plain
+floats: the slice has dimension at most 5, so a square-root-free Cholesky
+elimination solves each Newton system.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-import numpy as np
-
 from .cones import SimplicialDecomposition, dual_cone, triangulate
 from .errors import NotInReebCone
-from .linalg import dot
+from .linalg import dot, nullspace
 from .singularity import (
     ReebVector,
     ToricConeData,
     coords_of,
     gorenstein_vector,
     log_discrepancy,
+    reeb,
 )
 
 CONVERGED = "converged"
@@ -78,64 +81,83 @@ def _check_interior(form: VolumeForm, xi: Sequence) -> None:
             raise NotInReebCone(f"linear factor <{u}, xi> is nonpositive at xi={tuple(xi)}")
 
 
-def vol(form: VolumeForm, xi):
-    """Evaluate vol(xi).  Exact Fraction for exact xi, float otherwise."""
-    c = coords_of(xi)
-    _check_interior(form, c)
-    total = 0
-    for d, factors in form.terms:
-        prod = 1
-        for u in factors:
-            prod *= dot(u, c)
-        total += Fraction(d) / prod if isinstance(prod, (int, Fraction)) else d / prod
-    return total
+def vol(form: VolumeForm, xi, order: int = 0):
+    """vol(xi), with its gradient for ``order=1`` and also its Hessian for
+    ``order=2``: returns ``v``, ``(v, g)`` or ``(v, g, H)``.
 
+    Exact Fractions for exact xi, floats otherwise.  With the pairings
+    p_j = <u_j, xi> of a simplex s and its term vol_s = det_s / prod_j p_j,
 
-def grad_vol(form: VolumeForm, xi):
-    """Gradient of vol at xi: d_k vol = -sum_s vol_s * sum_j u_jk / <u_j, xi>."""
-    c = coords_of(xi)
+        d_k vol  = -sum_s vol_s * sum_j u_jk / p_j,
+        d_kl vol =  sum_s vol_s * (S_k S_l + sum_j u_jk u_jl / p_j^2),
+
+    where S_k = sum_j u_jk / p_j.  The Hessian is positive definite
+    transverse to the scaling ray.
+    """
+    if order not in (0, 1, 2):
+        raise ValueError(f"order must be 0, 1 or 2, not {order!r}")
+    xi = reeb(xi)
+    c, exact = xi.coords, xi.exact
     _check_interior(form, c)
     n = form.rank
-    exact = all(isinstance(x, (int, Fraction)) for x in c)
-    g = [Fraction(0)] * n if exact else [0.0] * n
+    if exact:
+        # vol is homogeneous of degree -n: evaluate at the integer multiple
+        # D * xi, where every pairing is an int, and scale back by D^(n+order)
+        scale = math.lcm(*(x.denominator for x in c))
+        c = tuple(int(x * scale) for x in c)
+    if order == 0:
+        total = 0
+        for d, factors in form.terms:
+            prod = 1
+            for u in factors:
+                prod *= dot(u, c)
+            total += Fraction(d, prod) if exact else d / prod
+        return total * scale**n if exact else total
+    zero, one = (Fraction(0), Fraction(1)) if exact else (0.0, 1.0)
+    v = zero
+    g = [zero] * n
+    h = [[zero] * n for _ in range(n)] if order == 2 else None
     for d, factors in form.terms:
         pair = [dot(u, c) for u in factors]
         prod = 1
         for p in pair:
             prod *= p
-        vs = Fraction(d) / prod if exact else d / prod
+        vs = Fraction(d, prod) if exact else d / prod
+        v += vs
         for u, p in zip(factors, pair):
             w = vs / p
             for k in range(n):
                 if u[k]:
                     g[k] -= w * u[k]
-    return tuple(g)
-
-
-def hess_vol(form: VolumeForm, xi):
-    """Hessian of vol at xi; positive definite transverse to the scaling ray."""
-    c = coords_of(xi)
-    _check_interior(form, c)
-    n = form.rank
-    exact = all(isinstance(x, (int, Fraction)) for x in c)
-    zero = Fraction(0) if exact else 0.0
-    h = [[zero] * n for _ in range(n)]
-    for d, factors in form.terms:
-        pair = [dot(u, c) for u in factors]
-        prod = 1
-        for p in pair:
-            prod *= p
-        vs = Fraction(d) / prod if exact else d / prod
-        s = [sum(u[k] / p for u, p in zip(factors, pair)) for k in range(n)]
+        if h is None:
+            continue
+        s = [zero] * n
+        for u, p in zip(factors, pair):
+            q = one / p
+            wq = vs * q * q
+            nz = [k for k in range(n) if u[k]]
+            for i, k in enumerate(nz):
+                s[k] += u[k] * q
+                a = wq * u[k]
+                row = h[k]
+                for l in nz[i:]:
+                    row[l] += a * u[l]
         for k in range(n):
-            for l in range(k, n):
-                val = vs * (s[k] * s[l] + sum(
-                    u[k] * u[l] / (p * p) for u, p in zip(factors, pair) if u[k] and u[l]
-                ))
-                h[k][l] += val
-                if l != k:
-                    h[l][k] += val
-    return tuple(tuple(row) for row in h)
+            if s[k]:
+                a = vs * s[k]
+                row = h[k]
+                for l in range(k, n):
+                    row[l] += a * s[l]
+    if exact:
+        v *= scale**n
+        g = [x * scale ** (n + 1) for x in g]
+    if h is None:
+        return v, tuple(g)
+    hscale = scale ** (n + 2) if exact else 1.0
+    for k in range(n):
+        for l in range(k):
+            h[k][l] = h[l][k]
+    return v, tuple(g), tuple(tuple(x * hscale for x in row) for row in h)
 
 
 def normalized_volume(data: ToricConeData, form: VolumeForm, xi):
@@ -150,7 +172,6 @@ class MinimizationResult:
     min_hvol: float
     grad_norm: float
     newton_iters: int
-    slice_value: Fraction
     certificate: str
 
     def to_dict(self) -> dict:
@@ -159,26 +180,34 @@ class MinimizationResult:
             "min_hvol": self.min_hvol,
             "grad_norm": self.grad_norm,
             "newton_iters": self.newton_iters,
-            "slice_value": str(self.slice_value),
             "certificate": self.certificate,
         }
 
 
-def _slice_basis(gamma: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the hyperplane gamma . x = const (n x (n-1))."""
-    n = gamma.size
-    if n == 1:
-        return np.zeros((1, 0))
-    _, _, vt = np.linalg.svd(gamma.reshape(1, -1))
-    return vt[1:].T
+def _solve_positive_definite(a: list[list[float]], b: list[float]) -> list[float] | None:
+    """Solve a x = b for a symmetric matrix a by elimination without
+    pivoting (square-root-free Cholesky, a = L D L^T); None unless every
+    pivot D_kk is positive, that is unless a is positive definite."""
+    m = len(b)
+    rows = [row + [bk] for row, bk in zip(a, b)]
+    for k in range(m):
+        if not rows[k][k] > 0:
+            return None
+        for i in range(k + 1, m):
+            f = rows[i][k] / rows[k][k]
+            rows[i] = [x - f * y for x, y in zip(rows[i], rows[k])]
+    x = [0.0] * m
+    for k in reversed(range(m)):
+        x[k] = (rows[k][m] - sum(rows[k][j] * x[j] for j in range(k + 1, m))) / rows[k][k]
+    return x
 
 
-def _interior_start(data: ToricConeData) -> np.ndarray:
+def _interior_start(data: ToricConeData) -> list[float]:
     """Slice-normalized sum of the primal rays; always strictly interior."""
     n = data.rank
     s = [Fraction(sum(r[k] for r in data.sigma.rays)) for k in range(n)]
     a = dot(gorenstein_vector(data), s)
-    return np.array([float(n * x / a) for x in s])
+    return [float(n * x / a) for x in s]
 
 
 def minimize_volume(
@@ -200,61 +229,64 @@ def minimize_volume(
     are reported rather than papered over.
 
     The iteration works on vol scaled by its value at the starting point, so
-    the gradient tolerance is scale-free; ``grad_norm`` reports the scaled
-    slice-projected gradient.
+    the gradient tolerance is scale-free; ``grad_norm`` reports the norm of
+    the scaled gradient projected onto the slice, g - (<gamma, g> /
+    <gamma, gamma>) gamma.
     """
     if form is None:
         form = build_volume_form(data)
     n = data.rank
-    gamma = np.array([float(g) for g in gorenstein_vector(data)])
-    rays_u = np.array([[float(x) for x in u] for u in form.dual_rays])
-    ray_norms = np.linalg.norm(rays_u, axis=1)
-    Z = _slice_basis(gamma)
+    gamma = [float(c) for c in gorenstein_vector(data)]
+    gamma_sq = dot(gamma, gamma)
+    basis = [[float(c) for c in z] for z in nullspace([gorenstein_vector(data)])]
+    rays = [(u, math.hypot(*u)) for u in form.dual_rays]
 
-    def distance_to_boundary(x: np.ndarray) -> float:
-        return float(np.min(rays_u @ x / ray_norms))
+    def distance_to_boundary(p: list[float]) -> float:
+        return min(dot(u, p) / norm for u, norm in rays)
 
     x = _interior_start(data)
-    v_start = float(vol(form, tuple(x)))
-
-    def objective(p: np.ndarray) -> float:
-        return float(vol(form, tuple(p))) / v_start
-
+    v_start = vol(form, x)
     fx = 1.0
     iters = 0
     grad_norm = float("inf")
     certificate = MAX_ITERS
     for iters in range(max_iters + 1):
-        g_full = np.array([float(v) for v in grad_vol(form, tuple(x))]) / v_start
-        g = Z.T @ g_full
-        grad_norm = float(np.linalg.norm(g))
+        g = [gk / v_start for gk in vol(form, x, 1)[1]]
+        along = dot(gamma, g) / gamma_sq
+        descent = [along * c - gk for c, gk in zip(gamma, g)]  # -(projected g)
+        grad_norm = math.hypot(*descent)
         if grad_norm <= tol:
             certificate = CONVERGED
             break
         if distance_to_boundary(x) < barrier_margin:
             certificate = BOUNDARY_ESCAPE
             break
-        H = np.array(hess_vol(form, tuple(x))) / v_start
-        Hs = Z.T @ H @ Z
-        try:
-            delta = np.linalg.solve(Hs, -g)
-        except np.linalg.LinAlgError:
-            delta = -g
-        if float(g @ delta) >= 0:
-            delta = -g
-        d = Z @ delta
+        hess = vol(form, x, 2)[2]
+        hz = [[dot(row, z) / v_start for row in hess] for z in basis]
+        delta = _solve_positive_definite(
+            [[dot(zi, hzj) for hzj in hz] for zi in basis], [-dot(z, g) for z in basis]
+        )
+        d = descent
+        if delta is not None:
+            newton = [sum(dk * z[k] for dk, z in zip(delta, basis)) for k in range(n)]
+            if dot(g, newton) < 0:
+                d = newton
+        slope = dot(g, d)
+        # Once the predicted decrease is far below the float noise of vol,
+        # the sufficient-decrease test compares rounding errors and would
+        # reject a correct step, so the full step is taken.
+        flat = -slope <= 1e-12 * max(1.0, abs(fx))
         step = 1.0
-        slope = float(g_full @ d)
         accepted = False
         for _ in range(80):
-            cand = x + step * d
+            cand = [a + step * b for a, b in zip(x, d)]
             if distance_to_boundary(cand) <= barrier_margin:
                 step *= 0.5
                 continue
-            f_cand = objective(cand)
+            f_cand = vol(form, cand) / v_start
             # small absolute slack keeps the final Newton steps acceptable
             # once the decrease reaches the float64 plateau
-            if f_cand <= fx + armijo * step * slope + 1e-15 * max(1.0, abs(fx)):
+            if flat or f_cand <= fx + armijo * step * slope + 1e-15 * max(1.0, abs(fx)):
                 x, fx = cand, f_cand
                 accepted = True
                 break
@@ -264,11 +296,10 @@ def minimize_volume(
             break
     min_hvol = float(n) ** n * fx * v_start
     return MinimizationResult(
-        minimizer=ReebVector(coords=tuple(float(v) for v in x), exact=False),
+        minimizer=ReebVector(coords=tuple(x), exact=False),
         min_hvol=min_hvol,
         grad_norm=grad_norm,
         newton_iters=iters,
-        slice_value=Fraction(n),
         certificate=certificate,
     )
 
@@ -310,10 +341,9 @@ def is_ksemistable(
         form = build_volume_form(data)
     n = data.rank
     a0 = float(log_discrepancy(data, xi0))
-    u0 = np.array([float(x) for x in coords_of(xi0)]) / a0
     res = minimize_volume(data, form)
-    ustar = np.array(res.minimizer.as_floats()) / float(n)
-    distance = float(np.max(np.abs(u0 - ustar)))
+    diff = [float(x) / a0 - y / n for x, y in zip(coords_of(xi0), res.minimizer.coords)]
+    distance = max(abs(v) for v in diff)
     if distance <= tol:
         return KSemistabilityVerdict(
             semistable=True,
@@ -322,7 +352,7 @@ def is_ksemistable(
             min_hvol=res.min_hvol,
             witness=None,
         )
-    witness = tuple(float(n * v) for v in (u0 - ustar))
+    witness = tuple(n * v for v in diff)
     return KSemistabilityVerdict(
         semistable=False,
         distance=distance,
@@ -344,11 +374,11 @@ def scan_hvol(
     Returns (t, hvol) pairs for t on a uniform grid over [0, 1]; both
     endpoints must be interior.
     """
-    a = np.array([float(x) for x in coords_of(start)])
-    b = np.array([float(x) for x in coords_of(end)])
+    a = [float(x) for x in coords_of(start)]
+    b = [float(x) for x in coords_of(end)]
     out = []
     for i in range(steps + 1):
         t = i / steps
-        p = tuple((1 - t) * a + t * b)
+        p = tuple((1 - t) * x + t * y for x, y in zip(a, b))
         out.append((t, float(normalized_volume(data, form, p))))
     return out

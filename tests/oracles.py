@@ -120,6 +120,16 @@ def fd_hessian(f, x: tuple[float, ...], h: float = 1e-4) -> list[list[float]]:
     return out
 
 
+def slice_basis(gamma: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the hyperplane gamma . x = const (n x (n-1)),
+    from the SVD of gamma."""
+    n = gamma.size
+    if n == 1:
+        return np.zeros((1, 0))
+    _, _, vt = np.linalg.svd(gamma.reshape(1, -1))
+    return vt[1:].T
+
+
 # ---------------------------------------------------------------------------
 # grid + golden-section minimization over the slice (rank 2 and 3)
 # ---------------------------------------------------------------------------

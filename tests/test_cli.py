@@ -82,7 +82,7 @@ def test_futaki_cli(capsys):
     )
     assert code == 0
     assert abs(payload["result"]["fut"] - 0.5) < 1e-10
-    assert payload["result"]["ding"] == payload["result"]["fut"]
+    assert set(payload["result"]) == {"fut", "fut_hvol_route", "t_xi_eta"}
 
 
 def test_index_char_cli_and_csv(tmp_path, capsys):
@@ -193,6 +193,22 @@ def test_repeated_runs_are_byte_identical():
     second = subprocess.run(cmd, capture_output=True, env=env, check=True)
     assert first.stdout == second.stdout
     assert first.returncode == 0
+
+
+def test_runtime_imports_no_numpy():
+    # -X importtime lists every module the interpreter imports on stderr
+    env = dict(os.environ, PYTHONPATH=SRC)
+    runs = [
+        ["-c", "import fanocone"],
+        ["-m", "fanocone", "minimize", "--input", corpus_path("c2.json")],
+    ]
+    for args in runs:
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", *args], capture_output=True, env=env, check=True
+        )
+        imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.decode().splitlines()]
+        assert "fanocone" in imported
+        assert not [m for m in imported if m.split(".")[0] == "numpy"]
 
 
 def test_unknown_flag_exit_2():
