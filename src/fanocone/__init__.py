@@ -22,9 +22,6 @@ from .character import (
     CharacterSample,
     LeadingCoefficient,
     character_series,
-    default_truncation,
-    enumerate_semigroup,
-    index_character,
     leading_coefficient,
     sample_character,
 )
@@ -39,7 +36,6 @@ from .errors import (
     NotPrimary,
     NotQGorenstein,
     RoundingExitsCone,
-    TruncationTooSmall,
 )
 from .futaki import (
     FutakiReport,

@@ -5,20 +5,20 @@ For an interior xi the index character is the exponential sum
     F(xi, t) = sum over lattice points alpha of the dual cone of
                exp(-t * <alpha, xi>),
 
-which converges for t > 0.  Two evaluation paths are provided:
+which converges for t > 0.  :func:`character_series` is its one evaluator:
+the exact rational form obtained from a half-open triangulation of the dual
+cone.  Each half-open simplicial subcone contributes a finite numerator
+(its fundamental-parallelepiped points, listed from the group Z^n / U Z^n
+in exact integer arithmetic) over a product of geometric-series
+denominators, so the whole series is summed, tail included, at a cost that
+does not depend on t.
 
-* :func:`index_character` sums the series directly over the finitely many
-  lattice points with <alpha, xi> <= T, enumerated by a best-first traversal
-  of the semigroup that steps along its Hilbert basis (the irreducible
-  generators).  This is the reference evaluation, feasible for moderate t.
-
-* :func:`character_series` evaluates the exact rational form obtained from a
-  half-open triangulation of the dual cone: each half-open simplicial
-  subcone contributes a finite numerator (its fundamental-parallelepiped
-  points, listed from the group Z^n / U Z^n in exact integer arithmetic)
-  over a product of geometric-series denominators.  This closed form
-  agrees with the direct sum to machine precision and remains cheap as
-  t -> 0, where direct enumeration would need ~vol * (1/t)^n points.
+A direct sum over the lattice points with <alpha, xi> <= T is not offered.
+At T = 28 / t it needs about vol(xi) T^n / n! points, 2 * 10^9 on the cone
+over the 4-dimensional cross-polytope at t = 0.5, and the tail it drops is
+not bounded by exp(-t T) relative to F: on the rank-4 orthant at
+xi = (1, 1, 1, 1) and t = 0.5 it is 9.5e-10 of F.  Box-scan sums of that
+kind live in the test oracles as an independent reference.
 
 The leading small-t coefficient a0 = lim t^n F(xi, t) is estimated from the
 closed form by Richardson extrapolation on the geometric grid t = 2^-j,
@@ -29,104 +29,20 @@ rank-one case F ~ 1/(t xi) forces.)
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import ExtrapolationDiverged, NotInReebCone, TruncationTooSmall
-from .cones import dual_cone, half_open_masks, parallelepiped_points, triangulate
+from .errors import ExtrapolationDiverged, NotInReebCone
+from .cones import half_open_masks, parallelepiped_points
 from .linalg import dot
-from .singularity import ToricConeData, coords_of, in_reeb_cone
+from .singularity import ToricConeData, coords_of
 from .volume import VolumeForm, build_volume_form, vol
 
-TAIL_REL = 1e-12
-
-
-@lru_cache(maxsize=128)
-def _semigroup_generators(data: ToricConeData) -> tuple[tuple[int, ...], ...]:
-    """The Hilbert basis of the dual-cone semigroup, sorted.
-
-    The extreme rays of the dual cone plus the closed fundamental-
-    parallelepiped points of a triangulation generate the semigroup; of
-    these, a generator g is dropped when g - h lies in the dual cone for
-    some other generator h (that is, <r, g> >= <r, h> for every ray r of
-    sigma).  The dual-cone semigroup is saturated, so the survivors are
-    exactly its irreducible elements.  Candidates are taken in increasing
-    total pairing with the rays of sigma, so each is tested only against the
-    irreducibles already kept.
-    """
-    dual = dual_cone(data.sigma)
-    dec = triangulate(dual)
-    cands = set(dual.rays)
-    for k in range(len(dec.simplices)):
-        rays = dec.simplex_rays(k)
-        for p in parallelepiped_points(rays, (False,) * len(rays)):
-            if any(p):
-                cands.add(p)
-    sigma_rays = data.sigma.rays
-    keyed = []
-    for g in cands:
-        pv = tuple(dot(r, g) for r in sigma_rays)
-        keyed.append((sum(pv), pv, g))
-    kept: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-    for _, pv, g in sorted(keyed):
-        if not any(all(a >= b for a, b in zip(pv, ph)) for ph, _ in kept):
-            kept.append((pv, g))
-    return tuple(sorted(g for _, g in kept))
-
-
-def enumerate_semigroup(data: ToricConeData, xi, bound: float) -> list[tuple[tuple[int, ...], float]]:
-    """All (alpha, <alpha, xi>) with alpha in the dual-cone semigroup and
-    <alpha, xi> <= bound, in nondecreasing pairing order."""
-    c = coords_of(xi)
-    if not in_reeb_cone(data, c):
-        raise NotInReebCone(f"{tuple(c)} is not strictly interior to sigma")
-    cf = tuple(float(x) for x in c)
-    gens = _semigroup_generators(data)
-    gen_vals = [(g, float(dot(g, cf))) for g in gens]
-    origin = (0,) * data.rank
-    heap: list[tuple[float, tuple[int, ...]]] = [(0.0, origin)]
-    seen = {origin}
-    out = []
-    while heap:
-        val, pt = heapq.heappop(heap)
-        out.append((pt, val))
-        for g, gv in gen_vals:
-            nval = val + gv
-            if nval > bound:
-                continue
-            npt = tuple(a + b for a, b in zip(pt, g))
-            if npt not in seen:
-                seen.add(npt)
-                heapq.heappush(heap, (nval, npt))
-    return out
-
-
-def index_character(data: ToricConeData, xi, t: float, truncation: float) -> float:
-    """Truncated index character: sum of exp(-t <alpha, xi>) over semigroup
-    points with <alpha, xi> <= truncation.
-
-    Raises TruncationTooSmall unless exp(-t * truncation) is below 1e-12 of
-    the partial sum, so accepted values carry at least that relative
-    accuracy.
-    """
-    if t <= 0:
-        raise ValueError("t must be positive")
-    total = 0.0
-    for _, val in enumerate_semigroup(data, xi, truncation):
-        total += math.exp(-t * val)
-    if math.exp(-t * truncation) > TAIL_REL * total:
-        raise TruncationTooSmall(
-            f"exp(-t*T) = {math.exp(-t * truncation):.3e} exceeds {TAIL_REL} of the partial sum {total:.6e}"
-        )
-    return total
-
-
-def default_truncation(t: float) -> float:
-    """A truncation bound satisfying the tail precondition for any cone:
-    exp(-t T) = exp(-28) < 1e-12 <= 1e-12 * partial sum."""
-    return 28.0 / t
+# halving grid t = 2^-j, j = J_RANGE[0]..J_RANGE[1], of the extrapolation
+J_RANGE = (3, 10)
+# largest relative gap between the extrapolated a0 and vol(xi)
+REL_TOL = 1e-3
 
 
 @lru_cache(maxsize=128)
@@ -172,12 +88,7 @@ class LeadingCoefficient:
 
 
 def leading_coefficient(
-    data: ToricConeData,
-    form: VolumeForm | None = None,
-    xi=None,
-    *,
-    j_range: tuple[int, int] = (3, 10),
-    rel_tol: float = 1e-3,
+    data: ToricConeData, form: VolumeForm | None, xi
 ) -> LeadingCoefficient:
     """Estimate a0 = lim_{t->0+} t^n F(xi, t) by Richardson extrapolation.
 
@@ -185,14 +96,13 @@ def leading_coefficient(
     vol(xi); sampling on the halving grid t = 2^-j and eliminating powers of
     t gives an estimate whose error bar is the last table correction.
     Raises ExtrapolationDiverged when the table does not settle or the limit
-    disagrees with the closed-form volume beyond ``rel_tol`` relative.
+    disagrees with the closed-form volume beyond ``REL_TOL`` relative.
+    ``form`` may be None, and is then built from ``data``.
     """
     if form is None:
         form = build_volume_form(data)
-    if xi is None:
-        raise ValueError("xi is required")
     n = form.rank
-    j_lo, j_hi = j_range
+    j_lo, j_hi = J_RANGE
     ts = [2.0 ** (-j) for j in range(j_lo, j_hi + 1)]
     g = [t**n * character_series(form, xi, t) for t in ts]
     # Richardson on a halving grid: eliminate t, t^2, ... successively.
@@ -206,16 +116,13 @@ def leading_coefficient(
             ]
         )
     estimate = table[-1][0]
-    if len(g) > 1:
-        error = max(abs(estimate - prev_val) for prev_val in table[-2])
-    else:
-        error = float("inf")
+    error = max(abs(estimate - prev_val) for prev_val in table[-2])
     if not math.isfinite(estimate):
         raise ExtrapolationDiverged("extrapolation table is not finite")
     v = float(vol(form, xi))
-    if abs(estimate - v) > rel_tol * abs(v):
+    if abs(estimate - v) > REL_TOL * abs(v):
         raise ExtrapolationDiverged(
-            f"extrapolated a0 = {estimate} disagrees with vol = {v} beyond {rel_tol} relative"
+            f"extrapolated a0 = {estimate} disagrees with vol = {v} beyond {REL_TOL} relative"
         )
     return LeadingCoefficient(
         a0=estimate,
@@ -228,7 +135,12 @@ def leading_coefficient(
 
 @dataclass(frozen=True)
 class CharacterSample:
-    """Direct character evaluations on a t-grid plus the extrapolated a0."""
+    """Character values F(xi, t) on a t-grid plus the extrapolated a0.
+
+    ``truncation_bound`` is 28 / min(t_values), a pairing bound: the sum of
+    exp(-t <alpha, xi>) over the lattice points with <alpha, xi> up to it
+    matches ``F_values`` up to the series tail past it.
+    """
 
     xi: tuple[float, ...]
     t_values: tuple[float, ...]
@@ -250,18 +162,15 @@ def sample_character(
     data: ToricConeData,
     xi,
     t_values: tuple[float, ...] = (1.0, 0.5),
-    truncation: float | None = None,
 ) -> CharacterSample:
-    """Evaluate the truncated character on a grid and extrapolate a0."""
+    """Evaluate the character series on a grid and extrapolate a0."""
     form = build_volume_form(data)
-    t_min = min(t_values)
-    bound = default_truncation(t_min) if truncation is None else truncation
-    fs = tuple(index_character(data, xi, t, bound) for t in t_values)
+    fs = tuple(character_series(form, xi, t) for t in t_values)
     lead = leading_coefficient(data, form, xi)
     return CharacterSample(
         xi=tuple(float(x) for x in coords_of(xi)),
         t_values=tuple(t_values),
         F_values=fs,
-        truncation_bound=bound,
+        truncation_bound=28.0 / min(t_values),
         a0_estimate=lead.a0,
     )

@@ -120,8 +120,7 @@ def _cmd_index_char(args, obj) -> dict:
     data = ToricConeData.from_dict(obj)
     xi = _parse_vector(args.xi0, False)
     ts = tuple(float(t) for t in args.t.split(","))
-    truncation = args.truncation
-    sample = sample_character(data, xi, t_values=ts, truncation=truncation)
+    sample = sample_character(data, xi, t_values=ts)
     if args.csv:
         form = build_volume_form(data)
         lead = leading_coefficient(data, form, xi)
@@ -208,7 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--xi0", required=True)
     p.add_argument("--t", default="1.0,0.5")
-    p.add_argument("--truncation", type=float, default=None)
     p.add_argument("--csv", default=None, help="write (t, t^n F) rows for the extrapolation grid")
 
     p = sub.add_parser("lct", help="multiplicity / lct / normalized multiplicity of a monomial ideal")

@@ -55,12 +55,6 @@ class NotPrimary(FanoConeError):
     code = "not-primary"
 
 
-class TruncationTooSmall(FanoConeError):
-    """The truncation bound does not meet the requested tail tolerance."""
-
-    code = "truncation-too-small"
-
-
 class ExtrapolationDiverged(FanoConeError):
     """The extrapolation table failed to contract to a stable limit."""
 

@@ -242,10 +242,11 @@ def random_fano_cone_data(rng: random.Random, rank: int, label: str = "") -> Tor
     """A random polytopal cone (rays at height one), boundary zero.
 
     All rays have last coordinate 1, so the cone is pointed, full-dimensional
-    and Gorenstein with covector (0, ..., 0, 1).
+    and Gorenstein with covector (0, ..., 0, 1).  The rays are distinct and
+    drawn from 7^(rank-1) candidates, so at rank 1 the cone is cone((1,)).
     """
     while True:
-        count = rng.randint(rank, rank + 3)
+        count = min(rng.randint(rank, rank + 3), 7 ** (rank - 1))
         rays = set()
         while len(rays) < count:
             base = tuple(rng.randint(-3, 3) for _ in range(rank - 1))

@@ -8,20 +8,15 @@ from hypothesis import strategies as st
 
 from fanocone import (
     ToricConeData,
-    TruncationTooSmall,
     build_volume_form,
     character_series,
-    default_truncation,
     dual_cone,
-    enumerate_semigroup,
-    index_character,
     leading_coefficient,
     parallelepiped_points,
     sample_character,
     triangulate,
     vol,
 )
-from fanocone.character import _semigroup_generators
 from fanocone.linalg import dot, rank
 
 import oracles
@@ -39,20 +34,22 @@ CONIFOLD = ToricConeData.make(
 )
 
 
+def _box_sum(data: ToricConeData, xi, t: float) -> float:
+    """The box-scan oracle summed up to the pairing bound 28 / t."""
+    return oracles.box_character_sum(data, xi, t, 28.0 / t)
+
+
 def test_rank_one_geometric_series():
+    form = build_volume_form(C1)
     for t in (1.0, 0.5, 0.25):
         exact = 1.0 / (1.0 - math.exp(-t))
-        approx = index_character(C1, (1,), t, default_truncation(t))
-        assert abs(approx - exact) < 1e-9
-        closed = character_series(build_volume_form(C1), (1,), t)
-        assert abs(closed - exact) < 1e-12
-    assert abs(index_character(C1, (1,), 1.0, default_truncation(1.0)) - 1.5819767068693265) < 1e-9
+        assert abs(character_series(form, (1,), t) - exact) < 1e-12
+    assert abs(character_series(form, (1,), 1.0) - 1.5819767068693265) < 1e-12
 
 
 def test_rank_two_product_of_geometric_series():
     t = 1.0
     exact = (1.0 / (1.0 - math.exp(-t))) ** 2
-    assert abs(index_character(C2, (1, 1), t, default_truncation(t)) - exact) < 1e-6
     assert abs(character_series(build_volume_form(C2), (1, 1), t) - exact) < 1e-12
 
 
@@ -70,16 +67,15 @@ def test_orthant_series_equals_product_formula():
 def test_conifold_enumeration_against_box_oracle():
     xi = (1.4, 1.6, 3.1)
     t = 0.5
-    bound = default_truncation(t)
-    ours = index_character(CONIFOLD, xi, t, bound)
-    oracle = oracles.box_character_sum(CONIFOLD, xi, t, bound)
+    ours = character_series(build_volume_form(CONIFOLD), xi, t)
+    oracle = _box_sum(CONIFOLD, xi, t)
     assert abs(ours - oracle) < 1e-8
 
 
 def test_closed_form_matches_enumeration():
     form = build_volume_form(CONIFOLD)
     for xi, t in (((1.5, 1.5, 3.0), 0.5), ((1.4, 1.6, 3.1), 1.0)):
-        enum = index_character(CONIFOLD, xi, t, default_truncation(t))
+        enum = _box_sum(CONIFOLD, xi, t)
         closed = character_series(form, xi, t)
         assert abs(enum - closed) < 1e-8 * closed
 
@@ -97,24 +93,11 @@ def test_closed_form_on_non_unimodular_dual_cones():
         assert max(d for d, _ in form.terms) > 1
         xi = tuple(float(sum(r[k] for r in data.sigma.rays)) for k in range(3))
         for t in (1.0, 0.6):
-            enum = index_character(data, xi, t, default_truncation(t))
+            enum = _box_sum(data, xi, t)
             closed = character_series(form, xi, t)
             assert abs(enum - closed) < 1e-8 * closed
         lead = leading_coefficient(data, form, xi)
         assert abs(lead.a0 - lead.vol_value) <= 1e-3 * lead.vol_value
-
-
-def test_enumeration_order_is_by_pairing_value():
-    pts = enumerate_semigroup(C2, (1.0, 2.0), 4.0)
-    vals = [v for _, v in pts]
-    assert vals == sorted(vals)
-    assert pts[0] == ((0, 0), 0.0)
-    assert len(pts) == len({p for p, _ in pts})
-
-
-def test_truncation_too_small_raises():
-    with pytest.raises(TruncationTooSmall):
-        index_character(C1, (1,), 1.0, 5.0)
 
 
 def test_character_decreasing_in_t_and_xi():
@@ -153,30 +136,25 @@ def test_scaled_character_converges_from_above_grid():
 
 
 def test_sample_character_fields():
-    sample = sample_character(C2, (1.0, 1.0), t_values=(1.0, 0.5))
+    ts = (1.0, 0.5)
+    sample = sample_character(C2, (1.0, 1.0), t_values=ts)
     assert sample.F_values[0] < sample.F_values[1]  # decreasing in t
     assert sample.a0_estimate > 0
-    assert sample.truncation_bound == default_truncation(0.5)
+    assert sample.truncation_bound == 28.0 / 0.5
+    form = build_volume_form(C2)
+    for t, f in zip(ts, sample.F_values):
+        assert f == character_series(form, (1.0, 1.0), t)
+        box = oracles.box_character_sum(C2, (1.0, 1.0), t, sample.truncation_bound)
+        assert abs(f - box) <= 1e-9 * f
     d = sample.to_dict()
     assert set(d) == {"xi", "t_values", "F_values", "truncation_bound", "a0_estimate"}
-
-
-def _assert_irreducible(data: ToricConeData, gens) -> None:
-    """No generator is another generator plus a nonzero point of the dual
-    cone, i.e. g - h pairs negatively with some ray of sigma."""
-    pair = {g: [dot(r, g) for r in data.sigma.rays] for g in gens}
-    assert all(any(pair[g]) and min(pair[g]) >= 0 for g in gens)
-    for g in gens:
-        for h in gens:
-            if g != h:
-                assert not all(a >= b for a, b in zip(pair[g], pair[h])), (g, h)
 
 
 @pytest.mark.parametrize("k", range(2, 7))
 def test_hilbert_basis_of_two_dim_cone(k):
     # sigma = cone((0,1),(k,1)) has dual rays (1,0), (-1,k) of index k; the
-    # closed parallelepiped adds (0,1), ..., (0,k-1), of which only (0,1)
-    # is irreducible
+    # closed parallelepiped adds (0,1), ..., (0,k-1), which with the rays
+    # generate the semigroup (its Hilbert basis is (-1,k), (0,1), (1,0))
     data = ToricConeData.make(2, [(0, 1), (k, 1)])
     dual = dual_cone(data.sigma)
     assert dual.rays == ((-1, k), (1, 0))
@@ -185,16 +163,14 @@ def test_hilbert_basis_of_two_dim_cone(k):
     for j in range(len(dec.simplices)):
         cands.update(p for p in parallelepiped_points(dec.simplex_rays(j), (False, False)) if any(p))
     assert len(cands) == k + 1
-    gens = _semigroup_generators(data)
-    assert gens == ((-1, k), (0, 1), (1, 0))
-    _assert_irreducible(data, gens)
+    assert cands == {(-1, k), (1, 0)} | {(0, j) for j in range(1, k)}
 
 
 @st.composite
 def _small_cones(draw):
     """A cone over 2-6 lattice points at height one, rank 2-4, with an
     integer interior xi and a pairing bound m * min <u, xi> over the dual
-    rays u, so that the enumerated region lies inside conv(0, m u)."""
+    rays u, so that the box-scanned region lies inside conv(0, m u)."""
     n = draw(st.integers(2, 4))
     base = st.tuples(*[st.integers(-2, 2)] * (n - 1))
     pts = draw(st.lists(base, min_size=n, max_size=n + 2, unique=True))
@@ -210,12 +186,13 @@ def _small_cones(draw):
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(_small_cones())
-def test_semigroup_walk_matches_box_scan(case):
+def test_series_matches_box_scan(case):
+    # t = 28 / bound puts the series tail past the bound below e^-28 F
     data, xi, bound = case
-    walked = [p for p, _ in enumerate_semigroup(data, xi, float(bound))]
-    assert len(walked) == len(set(walked))
-    assert set(walked) == set(oracles.box_lattice_points(data, xi, float(bound)))
-    _assert_irreducible(data, _semigroup_generators(data))
+    t = 28.0 / bound
+    series = character_series(build_volume_form(data), xi, t)
+    box = oracles.box_character_sum(data, xi, t, float(bound))
+    assert abs(series - box) <= 1e-8 * series
 
 
 def test_leading_coefficient_on_cross4():

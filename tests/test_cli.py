@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 import subprocess
@@ -105,6 +106,34 @@ def test_index_char_cli_and_csv(tmp_path, capsys):
     lines = csv.read_text().strip().splitlines()
     assert lines[0] == "t,t^n * F"
     assert len(lines) == 9  # header + eight grid points
+
+
+def test_index_char_cli_on_cross4(tmp_path, capsys):
+    # cone over the 4-dimensional cross-polytope at height 1: the dual slice
+    # at height h is the cube [-h, h]^4, so F(t) = sum_h (2h+1)^4 e^{-th}
+    rays = [[s * (i == j) for j in range(4)] + [1] for i in range(4) for s in (1, -1)]
+    path = tmp_path / "cross4.json"
+    path.write_text(json.dumps({"rank": 5, "rays": rays}))
+    code, payload = run_cli(
+        capsys, "index-char", "--input", str(path), "--xi0", "0.0,0.0,0.0,0.0,1.0"
+    )
+    assert code == 0
+    result = payload["result"]
+    assert result["t_values"] == [1.0, 0.5]
+    assert result["truncation_bound"] == 56.0
+    for t, f in zip(result["t_values"], result["F_values"]):
+        ref = math.fsum((2 * h + 1) ** 4 * math.exp(-t * h) for h in range(400))
+        assert abs(f - ref) <= 1e-12 * ref
+    vol = 4 * 3 * 2 * 16  # F ~ sum_h 16 h^4 e^{-th} ~ 16 * 4! / t^5
+    assert abs(result["a0_estimate"] - vol) <= 1e-3 * vol
+
+
+def test_index_char_truncation_flag_is_gone(capsys):
+    code = dispatch(
+        ["index-char", "--input", corpus_path("c2.json"), "--xi0", "1,1", "--truncation", "5"]
+    )
+    assert code == 2
+    assert "--truncation" in capsys.readouterr().err
 
 
 def test_degenerate_toy_cli(capsys):

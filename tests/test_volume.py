@@ -124,15 +124,26 @@ def test_grad_and_hess_match_finite_differences():
         assert err <= 1e-6 * hscale * 10
 
 
+def test_random_rank_one_cone_is_the_half_line():
+    for seed in range(5):
+        data = oracles.random_fano_cone_data(random.Random(seed), 1)
+        assert data.sigma.rays == ((1,),)
+
+
 def test_orders_agree_and_satisfy_euler_identities_exactly():
     # vol is homogeneous of degree -n, so <xi, grad vol> = -n vol and
     # H xi = -(n + 1) grad vol, exactly for rational xi
     rng = random.Random(53)
+    cases = []
     for _ in range(25):
-        rank = rng.randint(2, 5)
-        data = oracles.random_fano_cone_data(rng, rank)
+        data = oracles.random_fano_cone_data(rng, rng.randint(2, 5))
+        cases.append((data, oracles.random_interior_rational(rng, data)))
+    rng1 = random.Random(1)
+    data = oracles.random_fano_cone_data(rng1, 1)
+    cases.append((data, oracles.random_interior_rational(rng1, data)))
+    for data, xi in cases:
+        rank = data.rank
         form = build_volume_form(data)
-        xi = oracles.random_interior_rational(rng, data)
         v0 = vol(form, xi)
         v1, g1 = vol(form, xi, 1)
         v2, g2, h = vol(form, xi, 2)
