@@ -27,6 +27,7 @@ from .character import (
 )
 from .errors import (
     DegenerateXi,
+    DualTooLarge,
     ExtrapolationDiverged,
     FanoConeError,
     NotFullDim,
@@ -91,4 +92,22 @@ from .volume import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "Cone", "SimplicialDecomposition", "contains", "dual_cone", "facet_normals",
+    "half_open_masks", "parallelepiped_points", "triangulate",
+    "CharacterSample", "LeadingCoefficient", "character_series", "leading_coefficient",
+    "sample_character",
+    "DegenerateXi", "DualTooLarge", "ExtrapolationDiverged", "FanoConeError", "NotFullDim",
+    "NotInReebCone", "NotKlt", "NotPointed", "NotPrimary", "NotQGorenstein",
+    "RoundingExitsCone",
+    "FutakiReport", "ProductTestConfig", "futaki", "normalize_config", "product_config",
+    "t_normalize",
+    "CompositionCheck", "MuAdditivity", "WeightedPoint", "composed_equals_two_step", "limit",
+    "min_composition_k", "mu_additivity", "mu_weight", "two_step_limit",
+    "MonomialIdeal", "ideal_power", "in_newton_polyhedron", "lct", "multiplicity",
+    "newton_facets", "normalized_multiplicity",
+    "IRREGULAR", "QUASI_REGULAR", "ReebVector", "ToricConeData", "classify_regularity",
+    "gorenstein_vector", "in_reeb_cone", "log_discrepancy", "rationalize", "reeb",
+    "KSemistabilityVerdict", "MinimizationResult", "VolumeForm", "build_volume_form",
+    "is_ksemistable", "minimize_volume", "normalized_volume", "scan_hvol", "vol",
+]

@@ -1,10 +1,11 @@
-"""Pointed rational polyhedral cones: duals, membership, triangulations.
+"""Pointed rational polyhedral cones: duals, membership, pulling
+triangulations built from the facet incidence sets.
 
 All computations are exact (arbitrary-precision rational arithmetic).  The
 workloads this package targets are desk scale -- ambient rank at most 6 and
 at most 64 generating rays -- and the double-description dualization below
-errors out cleanly beyond that rather than attempting to contain the
-combinatorial explosion.
+errors out cleanly beyond that (``DualTooLarge`` when only the dual is too
+large) rather than attempting to contain the combinatorial explosion.
 
 Conventions:
 
@@ -16,14 +17,13 @@ Conventions:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import and_
 from typing import Sequence
 
-from .errors import NotFullDim, NotPointed
-from .linalg import Vec, dot, int_adjugate, int_det, invert, nullspace, primitive, rank
+from .errors import DualTooLarge, NotFullDim, NotPointed
+from .linalg import dot, int_adjugate, int_det, invert, primitive, rank
 
 MAX_RANK = 6
 MAX_RAYS = 64
@@ -58,9 +58,6 @@ class Cone:
     def to_dict(self) -> dict:
         return {"rank": self.rank, "rays": [list(r) for r in self.rays]}
 
-    def is_full_dim(self) -> bool:
-        return rank(self.rays) == self.rank
-
 
 @dataclass(frozen=True)
 class SimplicialDecomposition:
@@ -82,10 +79,6 @@ class SimplicialDecomposition:
 # ---------------------------------------------------------------------------
 # dual cones (double description)
 # ---------------------------------------------------------------------------
-
-
-def _tight_set(v: Sequence, constraints: Sequence[tuple[int, ...]], upto: int) -> frozenset[int]:
-    return frozenset(i for i in range(upto) if dot(constraints[i], v) == 0)
 
 
 def _dd_extreme_rays(constraints: Sequence[tuple[int, ...]], n: int) -> list[tuple[int, ...]]:
@@ -120,12 +113,13 @@ def _dd_extreme_rays(constraints: Sequence[tuple[int, ...]], n: int) -> list[tup
         keep = [r for r, v in zip(rays, vals) if v >= 0]
         pos = [(r, v) for r, v in zip(rays, vals) if v > 0]
         neg = [(r, v) for r, v in zip(rays, vals) if v < 0]
-        tight = {r: _tight_set(r, constraints, len(constraints)) for r in rays}
-        sub = [i for i in processed]
+        # the processed constraints tight at each ray that a cuts strictly
+        tight = {r: frozenset(i for i in processed if dot(constraints[i], r) == 0)
+                 for r, v in zip(rays, vals) if v}
         new: list[tuple[int, ...]] = []
         for (u, vu) in pos:
             for (w, vw) in neg:
-                common = tight[u] & tight[w] & frozenset(sub)
+                common = tight[u] & tight[w]
                 if n == 2 or rank([constraints[i] for i in common]) == n - 2:
                     cand = tuple(vu * x - vw * y for x, y in zip(w, u))
                     new.append(primitive(cand))
@@ -137,20 +131,23 @@ def _dd_extreme_rays(constraints: Sequence[tuple[int, ...]], n: int) -> list[tup
     return sorted(set(rays))
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=16)
 def dual_cone(c: Cone) -> Cone:
     """The dual cone {y : <y, r> >= 0 for all rays r of c}.
 
-    Raises NotFullDim when the rays of ``c`` span a proper subspace and
-    NotPointed when ``c`` contains a line.  For pointed full-dimensional
-    input the result is again pointed and full-dimensional, and its rays are
-    the inner facet normals of ``c``.
+    Raises NotFullDim when the rays of ``c`` span a proper subspace,
+    NotPointed when ``c`` contains a line and DualTooLarge when the dual has
+    more than MAX_RAYS rays.  For pointed full-dimensional input the result
+    is again pointed and full-dimensional, and its rays are the inner facet
+    normals of ``c``.
     """
     if rank(c.rays) < c.rank:
         raise NotFullDim(f"rays span a {rank(c.rays)}-dimensional subspace of rank {c.rank}")
     dual_rays = _dd_extreme_rays(c.rays, c.rank)
     if not dual_rays or rank(dual_rays) < c.rank:
         raise NotPointed("cone contains a line")
+    if len(dual_rays) > MAX_RAYS:
+        raise DualTooLarge(f"the dual cone has {len(dual_rays)} rays, more than MAX_RAYS = {MAX_RAYS}")
     return Cone(rank=c.rank, rays=tuple(dual_rays))
 
 
@@ -174,89 +171,64 @@ def contains(c: Cone, v: Sequence, strict: bool = False) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# placing triangulation
+# pulling triangulation
 # ---------------------------------------------------------------------------
 
 
-def _facet_normal_in_span(
-    simplex_rays: Sequence[tuple[int, ...]],
-    facet_rays: Sequence[tuple[int, ...]],
-    opposite: tuple[int, ...],
-) -> Vec:
-    """Normal of a boundary facet, computed inside the linear span of the
-    current cone and oriented towards the supplied opposite ray."""
-    d = len(simplex_rays)
-    if d == 1:
-        h: Vec = tuple(Fraction(x) for x in simplex_rays[0])
-    else:
-        rows = [[dot(s, f) for s in simplex_rays] for f in facet_rays]
-        z = nullspace(rows)[0]
-        h = tuple(
-            sum(z[k] * Fraction(simplex_rays[k][j]) for k in range(d))
-            for j in range(len(opposite))
-        )
-    orient = dot(h, opposite)
-    if orient < 0:
-        h = tuple(-x for x in h)
-    return h
+def _pull(face: int, dim: int, tight: Sequence[int], pull: Sequence[int], memo: dict) -> list[int]:
+    """Pulling triangulation of a face of dimension ``dim``, faces and
+    simplices being bitmasks of extreme rays.  The facets of the face are
+    the maximal proper sets among its intersections with the facets of the
+    cone; the first ray of the face in the pull order is coned over the
+    triangulations of the facets that miss it."""
+    if face.bit_count() == dim:
+        return [face]
+    if face not in memo:
+        p = next(i for i in pull if face >> i & 1)
+        cuts = {face & t for t in tight} - {face}
+        memo[face] = [
+            s | 1 << p
+            for g in cuts
+            if not g >> p & 1 and not any(g != h and g & h == g for h in cuts)
+            for s in _pull(g, dim - 1, tight, pull, memo)
+        ]
+    return memo[face]
 
 
-def _placing(rays: Sequence[tuple[int, ...]], order: Sequence[int]) -> list[tuple[int, ...]]:
-    """Placing triangulation of cone(rays) with the given insertion order.
-
-    Rays that fall inside the cone of the previously inserted ones are
-    skipped, so only the supplied rays ever appear as simplex generators.
-    Returns simplices as sorted index tuples (in the final dimension).
-    """
-    simplices: list[tuple[int, ...]] = []
-    span_members: list[int] = []
-    dim = 0
-    for idx in order:
-        w = rays[idx]
-        if not simplices:
-            simplices = [(idx,)]
-            span_members = [idx]
-            dim = 1
-            continue
-        if rank([rays[i] for i in span_members] + [w]) > dim:
-            simplices = [tuple(sorted(s + (idx,))) for s in simplices]
-            span_members.append(idx)
-            dim += 1
-            continue
-        # w lies in the current span: cone over the visible boundary facets
-        count: dict[tuple[int, ...], int] = {}
-        owner: dict[tuple[int, ...], tuple[int, ...]] = {}
-        for s in simplices:
-            for f in itertools.combinations(s, dim - 1):
-                count[f] = count.get(f, 0) + 1
-                owner[f] = s
-        for f, cnt in sorted(count.items()):
-            if cnt != 1:
-                continue
-            s = owner[f]
-            opp = next(i for i in s if i not in f)
-            h = _facet_normal_in_span(
-                [rays[i] for i in s], [rays[i] for i in f], rays[opp]
-            )
-            if dot(h, w) < 0:
-                simplices.append(tuple(sorted(f + (idx,))))
-    return sorted(simplices)
-
-
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=16)
 def triangulate(c: Cone, order: tuple[int, ...] | None = None) -> SimplicialDecomposition:
-    """Placing triangulation of a pointed full-dimensional cone.
+    """Pulling triangulation of a pointed full-dimensional cone.
 
-    The default insertion order is lexicographic in the canonical ray
-    ordering, which makes the output deterministic.  ``order`` exists so that
+    Built from the incidence sets of the facets alone (De Loera-Rambau-
+    Santos, *Triangulations*, 4.3): the extreme rays are pulled in the
+    order ``order`` (default: the canonical ray order, which makes the
+    output deterministic), then each non-extreme ray is inserted in that
+    order by a stellar subdivision of the simplices containing it, so every
+    ray is a generator of some simplex.  ``order`` exists so that
     independence of derived quantities from the triangulation can be checked.
     """
-    facet_normals(c)  # validates pointedness and full dimension
-    idx_order = tuple(range(len(c.rays))) if order is None else order
-    simplices = _placing(c.rays, idx_order)
-    if not simplices or len(simplices[0]) < c.rank:
-        raise NotFullDim("triangulation did not reach full dimension")
-    dets = tuple(abs(int_det([c.rays[i] for i in s])) for s in simplices)
+    rays = c.rays
+    n = len(rays)
+    pull = tuple(range(n)) if order is None else order
+    if sorted(pull) != list(range(n)):
+        raise ValueError(f"order {pull} is not a permutation of the {n} rays")
+    tight = [sum(1 << i for i, r in enumerate(rays) if dot(f, r) == 0) for f in facet_normals(c)]
+    # ray i is extreme exactly when the facets through it meet in it alone
+    meets = [reduce(and_, [t for t in tight if t >> i & 1], (1 << n) - 1) for i in range(n)]
+    extreme = sum(1 << i for i in range(n) if meets[i] == 1 << i)
+    masks = _pull(extreme, c.rank, [t & extreme for t in tight], pull, {})
+    simplices = [tuple(i for i in range(n) if s >> i & 1) for s in masks]
+    for r in [i for i in pull if not extreme >> i & 1]:
+        # stellar subdivision: r replaces, in each simplex containing it, each
+        # generator whose barycentric coordinate at r is positive
+        out = []
+        for s in simplices:
+            coords = [dot(h, rays[r]) for h in _simplex_inner_normals([rays[i] for i in s])[1]]
+            out += [s] if min(coords) < 0 else [
+                tuple(sorted(s[:j] + (r,) + s[j + 1:])) for j, x in enumerate(coords) if x > 0]
+        simplices = out
+    simplices.sort()
+    dets = tuple(abs(int_det([rays[i] for i in s])) for s in simplices)
     return SimplicialDecomposition(cone=c, simplices=tuple(simplices), dets=dets)
 
 

@@ -25,6 +25,12 @@ class NotFullDim(FanoConeError):
     code = "not-full-dim"
 
 
+class DualTooLarge(FanoConeError):
+    """The dual cone has more extreme rays than the desk-scale limit allows."""
+
+    code = "dual-too-large"
+
+
 class NotInReebCone(FanoConeError):
     """A vector required to be strictly interior to the Reeb cone is not."""
 

@@ -144,7 +144,7 @@ def _rat_str(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=16)
 def gorenstein_vector(data: ToricConeData) -> Vec:
     """Validate the singularity data and return the Gorenstein covector.
 

@@ -63,7 +63,7 @@ class VolumeForm:
         return hash((self.rank, self.terms))
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=16)
 def build_volume_form(data: ToricConeData) -> VolumeForm:
     """Triangulate the dual cone of sigma and assemble the closed form."""
     gorenstein_vector(data)  # full validation of the input

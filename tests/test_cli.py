@@ -6,9 +6,11 @@ import os
 import re
 import subprocess
 import sys
+import types
 from importlib import resources
 from pathlib import Path
 
+import fanocone
 from fanocone.cli import dispatch
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -174,6 +176,19 @@ def test_validation_error_exit_2(tmp_path, capsys):
     assert "detail" in payload
 
 
+def test_dual_too_large_exit_2(tmp_path, capsys):
+    # C(12, 5): 12 rays, within the limits, but its dual has 72 > 64 rays
+    rays = [[t, t**2, t**3, t**4, t**5, 1] for t in range(1, 13)]
+    path = tmp_path / "cyclic12.json"
+    path.write_text(json.dumps({"rank": 6, "rays": rays}))
+    code, payload = run_cli(capsys, "hvol", "--input", str(path), "--xi0", "0,0,0,0,0,6")
+    assert code == 2
+    assert payload == {
+        "error": "dual-too-large",
+        "detail": "the dual cone has 72 rays, more than MAX_RAYS = 64",
+    }
+
+
 def test_non_interior_xi_exit_2(capsys):
     code, payload = run_cli(
         capsys, "vol", "--input", corpus_path("c2.json"), "--xi0", "1,0"
@@ -274,3 +289,11 @@ def test_corpus_expected_values_roundtrip(capsys):
         assert abs(payload["result"]["min_hvol"] - entry["min_hvol_oracle"]) <= 1e-6 * max(
             1.0, entry["min_hvol_oracle"]
         )
+
+
+def test_package_exports_are_the_public_names_and_no_submodules():
+    public = {
+        name for name in dir(fanocone)
+        if not name.startswith("_") and not isinstance(getattr(fanocone, name), types.ModuleType)
+    }
+    assert sorted(fanocone.__all__) == sorted(public)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from fanocone import (
     Cone,
+    DualTooLarge,
     NotFullDim,
     NotPointed,
     contains,
@@ -19,8 +20,8 @@ from fanocone import (
     parallelepiped_points,
     triangulate,
 )
-from fanocone.cones import _placing, _simplex_inner_normals
-from fanocone.linalg import dot, int_adjugate, int_det, invert, primitive
+from fanocone.cones import MAX_RAYS, _simplex_inner_normals
+from fanocone.linalg import dot, int_adjugate, int_det, invert, primitive, rank
 
 import oracles
 
@@ -128,6 +129,13 @@ def test_dual_errors():
         dual_cone(Cone(rank=3, rays=((1, 0, 0), (0, 1, 0), (1, 1, 0))))
 
 
+def test_dual_with_too_many_rays_is_its_own_error():
+    # the cone over the cyclic polytope C(12, 5) has 12 rays and 72 facets
+    c = Cone(rank=6, rays=tuple((t, t**2, t**3, t**4, t**5, 1) for t in range(1, 13)))
+    with pytest.raises(DualTooLarge, match=f"72 rays, more than MAX_RAYS = {MAX_RAYS}"):
+        dual_cone(c)
+
+
 def test_triangulate_two_dim_fan_shares_middle_ray():
     c = Cone(rank=2, rays=((1, 1), (0, 1), (2, 1)))
     dec = triangulate(c)
@@ -193,7 +201,7 @@ def test_triangulation_sum_is_order_independent():
         for _ in range(3):
             order = list(range(len(c.rays)))
             rng.shuffle(order)
-            other = _placing(c.rays, order)
+            other = triangulate(c, tuple(order)).simplices
             assert _truncation_sum(c, other, xi) == base
 
 
@@ -236,28 +244,62 @@ def test_contains_examples():
     assert contains(ORTHANT2, (Fraction(1, 3), Fraction(7, 2)), strict=True)
 
 
+def _assert_masks_partition(c: Cone, dec, box) -> None:
+    """Every lattice point of the box lies in exactly one half-open simplex
+    when it lies in the cone, and in none otherwise."""
+    masks = half_open_masks(dec)
+    inverses = []
+    for k in range(len(masks)):
+        rays = dec.simplex_rays(k)
+        inverses.append(invert([[r[i] for r in rays] for i in range(c.rank)]))
+    for pt in box:
+        hits = 0
+        for inv, mask in zip(inverses, masks):
+            lam = [dot(row, pt) for row in inv]
+            if all((l > 0 if is_open else l >= 0) for l, is_open in zip(lam, mask)):
+                hits += 1
+        assert hits == (1 if contains(c, pt) else 0), (c.rays, pt)
+
+
 def test_half_open_masks_partition_the_cone():
     rng = random.Random(31)
     for _ in range(6):
         rank = rng.randint(2, 3)
         c = _random_pointed_cone(rng, rank)
-        dec = triangulate(c)
-        masks = half_open_masks(dec)
-        inverses = []
-        for k in range(len(dec.simplices)):
-            rays = dec.simplex_rays(k)
-            cols = [[rays[j][i] for j in range(rank)] for i in range(rank)]
-            inverses.append(invert(cols))
-        for pt in itertools.product(range(-3, 4), repeat=rank):
-            hits = 0
-            for k, mask in enumerate(masks):
-                lam = [dot(row, pt) for row in inverses[k]]
-                ok = all(
-                    (l > 0 if is_open else l >= 0) for l, is_open in zip(lam, mask)
-                )
-                if ok:
-                    hits += 1
-            assert hits == (1 if contains(c, pt) else 0), (c.rays, pt)
+        _assert_masks_partition(c, triangulate(c), itertools.product(range(-3, 4), repeat=rank))
+
+
+@st.composite
+def _cones_with_inner_rays(draw):
+    """A cone of rank 2-5 over lattice points at height one, with one to
+    three more rays that are sums of two or three of them, so never extreme."""
+    n = draw(st.integers(2, 5))
+    base = draw(st.lists(
+        st.tuples(*[st.integers(-2, 2)] * (n - 1)), min_size=n, max_size=n + 2, unique=True))
+    rays = [b + (1,) for b in base]
+    assume(rank(rays) == n)
+    for _ in range(draw(st.integers(1, 3))):
+        parts = draw(st.lists(st.sampled_from(rays[:len(base)]), min_size=2, max_size=3, unique=True))
+        rays.append(tuple(map(sum, zip(*parts))))
+    return Cone(rank=n, rays=tuple(rays))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_cones_with_inner_rays(), st.data())
+def test_pulling_with_inner_rays_is_a_triangulation(c, data):
+    n, m = c.rank, len(c.rays)
+    duals = dual_cone(c).rays
+    coeffs = data.draw(st.lists(st.integers(1, 4), min_size=len(duals), max_size=len(duals)))
+    xi = tuple(sum(a * f[k] for a, f in zip(coeffs, duals)) for k in range(n))
+    dec = triangulate(c)
+    base = _truncation_sum(c, dec.simplices, xi)
+    for order in [tuple(range(m))] + [data.draw(st.permutations(range(m))) for _ in range(3)]:
+        other = triangulate(c, tuple(order))
+        assert set().union(*other.simplices) == set(range(m))
+        assert all(d > 0 for d in other.dets)
+        assert _truncation_sum(c, other.simplices, xi) == base
+    r = 2 if n <= 3 else 1
+    _assert_masks_partition(c, dec, itertools.product(*[range(-r, r + 1)] * (n - 1), range(3)))
 
 
 def test_parallelepiped_point_count_equals_det():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -201,6 +202,36 @@ def test_minimize_orthants_amgm():
         assert max(abs(x - 1.0) for x in res.minimizer.coords) < 1e-8
         assert abs(res.min_hvol - float(n) ** n) <= 1e-9 * float(n) ** n
         assert abs(log_discrepancy(data, res.minimizer) - n) <= 1e-12
+
+
+def _symmetric_polytope_data(kind: str, d: int) -> ToricConeData:
+    if kind == "cube":  # the cone over [-1, 1]^d at height one
+        verts = list(itertools.product((-1, 1), repeat=d))
+    else:  # the cone over the d-dimensional cross-polytope
+        verts = [tuple(s * (i == j) for j in range(d)) for i in range(d) for s in (1, -1)]
+    return ToricConeData.make(d + 1, [v + (1,) for v in verts])
+
+
+@pytest.mark.parametrize(
+    "kind, d, expected",
+    [("cube", 3, 8), ("cube", 4, 16), ("cube", 5, 32),
+     ("cross", 3, 48), ("cross", 4, 384), ("cross", 5, 3840)],
+)
+def test_symmetric_polytope_cones_against_closed_form(kind, d, expected):
+    # For a centrally symmetric lattice polytope P at height one, the
+    # minimizer is xi0 = (0, ..., 0, n) and min hvol is the normalized volume
+    # of the polar P°: the cross-polytope for the cube (2^d) and the cube for
+    # the cross-polytope (d! 2^d).
+    data = _symmetric_polytope_data(kind, d)
+    n = d + 1
+    xi0 = (0,) * d + (n,)
+    form = build_volume_form(data)
+    assert normalized_volume(data, form, xi0) == expected
+    res = minimize_volume(data, form)
+    assert res.certificate == CONVERGED
+    assert res.grad_norm < 1e-10
+    assert max(abs(x - y) for x, y in zip(res.minimizer.coords, xi0)) < 1e-8
+    assert abs(res.min_hvol - expected) <= 1e-9 * expected
 
 
 def test_minimize_conifold_against_grid_oracle():
