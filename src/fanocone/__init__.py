@@ -26,7 +26,6 @@ from .character import (
     sample_character,
 )
 from .errors import (
-    DegenerateXi,
     DualTooLarge,
     ExtrapolationDiverged,
     FanoConeError,
@@ -36,14 +35,10 @@ from .errors import (
     NotPointed,
     NotPrimary,
     NotQGorenstein,
-    RoundingExitsCone,
 )
 from .futaki import (
     FutakiReport,
-    ProductTestConfig,
     futaki,
-    normalize_config,
-    product_config,
     t_normalize,
 )
 from .gittoy import (
@@ -60,22 +55,16 @@ from .gittoy import (
 from .ideals import (
     MonomialIdeal,
     ideal_power,
-    in_newton_polyhedron,
     lct,
     multiplicity,
     newton_facets,
     normalized_multiplicity,
 )
 from .singularity import (
-    IRREGULAR,
-    QUASI_REGULAR,
     ReebVector,
     ToricConeData,
-    classify_regularity,
     gorenstein_vector,
-    in_reeb_cone,
     log_discrepancy,
-    rationalize,
     reeb,
 )
 from .volume import (
@@ -97,17 +86,14 @@ __all__ = [
     "half_open_masks", "parallelepiped_points", "triangulate",
     "CharacterSample", "LeadingCoefficient", "character_series", "leading_coefficient",
     "sample_character",
-    "DegenerateXi", "DualTooLarge", "ExtrapolationDiverged", "FanoConeError", "NotFullDim",
-    "NotInReebCone", "NotKlt", "NotPointed", "NotPrimary", "NotQGorenstein",
-    "RoundingExitsCone",
-    "FutakiReport", "ProductTestConfig", "futaki", "normalize_config", "product_config",
-    "t_normalize",
+    "DualTooLarge", "ExtrapolationDiverged", "FanoConeError", "NotFullDim", "NotInReebCone",
+    "NotKlt", "NotPointed", "NotPrimary", "NotQGorenstein",
+    "FutakiReport", "futaki", "t_normalize",
     "CompositionCheck", "MuAdditivity", "WeightedPoint", "composed_equals_two_step", "limit",
     "min_composition_k", "mu_additivity", "mu_weight", "two_step_limit",
-    "MonomialIdeal", "ideal_power", "in_newton_polyhedron", "lct", "multiplicity",
-    "newton_facets", "normalized_multiplicity",
-    "IRREGULAR", "QUASI_REGULAR", "ReebVector", "ToricConeData", "classify_regularity",
-    "gorenstein_vector", "in_reeb_cone", "log_discrepancy", "rationalize", "reeb",
+    "MonomialIdeal", "ideal_power", "lct", "multiplicity", "newton_facets",
+    "normalized_multiplicity",
+    "ReebVector", "ToricConeData", "gorenstein_vector", "log_discrepancy", "reeb",
     "KSemistabilityVerdict", "MinimizationResult", "VolumeForm", "build_volume_form",
     "is_ksemistable", "minimize_volume", "normalized_volume", "scan_hvol", "vol",
 ]

@@ -23,7 +23,7 @@ from fractions import Fraction
 from . import __version__
 from .character import leading_coefficient, sample_character
 from .errors import FanoConeError
-from .futaki import futaki, product_config
+from .futaki import futaki
 from .gittoy import WeightedPoint, composed_equals_two_step, limit, mu_additivity
 from .ideals import MonomialIdeal, lct, multiplicity, normalized_multiplicity
 from .linalg import frac
@@ -112,8 +112,7 @@ def _cmd_futaki(args, obj) -> dict:
     form = build_volume_form(data)
     xi0 = _parse_vector(args.xi0, args.exact)
     eta = _parse_vector(args.eta, args.exact)
-    cfg = product_config(data, xi0, eta.coords)
-    return futaki(data, form, cfg).to_dict()
+    return futaki(data, form, xi0=xi0, eta=eta.coords).to_dict()
 
 
 def _cmd_index_char(args, obj) -> dict:

@@ -49,12 +49,6 @@ class NotKlt(FanoConeError):
     code = "not-klt"
 
 
-class RoundingExitsCone(FanoConeError):
-    """Componentwise rounding of k*xi left the Reeb cone; retry with larger k."""
-
-    code = "rounding-exits-cone"
-
-
 class NotPrimary(FanoConeError):
     """The monomial ideal is not primary to the maximal ideal."""
 
@@ -65,9 +59,3 @@ class ExtrapolationDiverged(FanoConeError):
     """The extrapolation table failed to contract to a stable limit."""
 
     code = "extrapolation-diverged"
-
-
-class DegenerateXi(FanoConeError):
-    """The polarization has nonpositive log discrepancy (internal error)."""
-
-    code = "degenerate-xi"

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .cones import Cone, triangulate
+from .cones import MAX_RANK, MAX_RAYS, Cone, triangulate
 from .errors import NotPrimary
 from .linalg import dot, int_det, nullspace, primitive
 
@@ -36,6 +36,8 @@ class MonomialIdeal:
     def __post_init__(self) -> None:
         if self.nvars < 1:
             raise ValueError("nvars must be positive")
+        if self.nvars > MAX_RANK:  # multiplicity() builds cones of rank nvars
+            raise ValueError(f"desk-scale limits exceeded (rank <= {MAX_RANK}, rays <= {MAX_RAYS})")
         gens = sorted({tuple(int(x) for x in g) for g in self.generators})
         if not gens:
             raise ValueError("at least one generator is required")
@@ -93,13 +95,6 @@ def newton_facets(ideal: MonomialIdeal) -> tuple[tuple[tuple[int, ...], int], ..
         if all(dot(w, g) >= c for g in gens):
             facets[w] = int(c)
     return tuple(sorted(facets.items()))
-
-
-def in_newton_polyhedron(ideal: MonomialIdeal, point) -> bool:
-    """Membership of a rational point in P (orthant plus facet inequalities)."""
-    if any(x < 0 for x in point):
-        return False
-    return all(dot(w, point) >= c for w, c in newton_facets(ideal))
 
 
 @lru_cache(maxsize=512)

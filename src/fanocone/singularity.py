@@ -17,14 +17,13 @@ stored either with exact rational or floating coordinates.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
 from .cones import Cone, contains, facet_normals
-from .errors import NotInReebCone, NotKlt, NotQGorenstein, RoundingExitsCone
+from .errors import NotInReebCone, NotKlt, NotQGorenstein
 from .linalg import Vec, dot, frac, fracvec, solve
 
 Coords = tuple[Fraction, ...] | tuple[float, ...]
@@ -167,74 +166,12 @@ def gorenstein_vector(data: ToricConeData) -> Vec:
     return gamma
 
 
-def in_reeb_cone(data: ToricConeData, xi) -> bool:
-    return contains(data.sigma, coords_of(xi), strict=True)
-
-
 def log_discrepancy(data: ToricConeData, xi):
     """Log discrepancy <gamma, xi> of the toric valuation of an interior xi.
 
     Exact when xi is exact; linear in xi.
     """
     c = coords_of(xi)
-    if not in_reeb_cone(data, c):
+    if not contains(data.sigma, c, strict=True):
         raise NotInReebCone(f"{c} is not strictly interior to sigma")
     return dot(gorenstein_vector(data), c)
-
-
-QUASI_REGULAR = "quasi-regular"
-IRREGULAR = "irregular"
-
-
-def classify_regularity(
-    data: ToricConeData,
-    xi,
-    tol: float = 1e-9,
-    denominator_bound: int = 10**4,
-) -> str:
-    """Decide whether xi spans a rational direction.
-
-    Exact coordinates are always quasi-regular.  Floating coordinates are
-    tested ratio-by-ratio with best rational approximations of denominator at
-    most ``denominator_bound``; the irregular verdict therefore means "no
-    rational direction with denominators up to the bound matches within tol",
-    never a statement about the underlying real vector.
-    """
-    v = reeb(xi) if not isinstance(xi, ReebVector) else xi
-    if not in_reeb_cone(data, v.coords):
-        raise NotInReebCone(f"{v.coords} is not strictly interior to sigma")
-    if v.exact:
-        return QUASI_REGULAR
-    ref_idx = max(range(len(v.coords)), key=lambda i: abs(v.coords[i]))
-    ref = v.coords[ref_idx]
-    for x in v.coords:
-        ratio = x / ref
-        approx = Fraction(ratio).limit_denominator(denominator_bound)
-        if abs(ratio - float(approx)) > tol:
-            return IRREGULAR
-    return QUASI_REGULAR
-
-
-def _round_half_up(x) -> int:
-    if isinstance(x, float):
-        return math.floor(x + 0.5)
-    return int(math.floor(x + Fraction(1, 2)))
-
-
-def rationalize(data: ToricConeData, xi, k: int) -> ReebVector:
-    """Componentwise nearest-integer approximation of k*xi inside the cone.
-
-    Satisfies |result - k*xi|_inf <= 1/2.  Raises RoundingExitsCone when the
-    rounded vector is not strictly interior; callers retry with a larger k.
-    """
-    if k < 1:
-        raise ValueError("k must be a positive integer")
-    c = coords_of(xi)
-    if not in_reeb_cone(data, c):
-        raise NotInReebCone(f"{c} is not strictly interior to sigma")
-    rounded = tuple(_round_half_up(k * x) for x in c)
-    if not contains(data.sigma, rounded, strict=True):
-        raise RoundingExitsCone(
-            f"rounding {k} * xi gave {rounded}, which is not interior; increase k"
-        )
-    return ReebVector(coords=fracvec(rounded), exact=True)

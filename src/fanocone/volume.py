@@ -233,6 +233,8 @@ def minimize_volume(
     the scaled gradient projected onto the slice, g - (<gamma, g> /
     <gamma, gamma>) gamma.
     """
+    if max_iters < 0 or not tol >= 0:
+        raise ValueError(f"max_iters and tol must be non-negative (got {max_iters}, {tol})")
     if form is None:
         form = build_volume_form(data)
     n = data.rank
@@ -374,6 +376,8 @@ def scan_hvol(
     Returns (t, hvol) pairs for t on a uniform grid over [0, 1]; both
     endpoints must be interior.
     """
+    if steps < 1:
+        raise ValueError(f"steps must be at least 1 (got {steps})")
     a = [float(x) for x in coords_of(start)]
     b = [float(x) for x in coords_of(end)]
     out = []

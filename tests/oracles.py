@@ -20,6 +20,7 @@ from fanocone import (
     build_volume_form,
     dual_cone,
     gorenstein_vector,
+    vol,
 )
 from fanocone.linalg import dot, int_det, invert
 
@@ -234,6 +235,53 @@ def grid_golden_min_hvol(data: ToricConeData, grid: int = 400) -> tuple[float, n
 
 
 # ---------------------------------------------------------------------------
+# closed forms
+# ---------------------------------------------------------------------------
+
+
+def futaki_hvol_route(data: ToricConeData, form, xi, eta) -> float:
+    """Fut(xi; eta) = -A(eta) - (A(xi) / n) <grad vol(xi), eta> / vol(xi).
+
+    This is the derivative of hvol along -eta over n A(xi)^{n-1} vol(xi);
+    Euler's relation <grad vol(xi), xi> = -n vol(xi) makes it equal to the
+    package's -<grad vol(xi), T(eta)> / vol(xi).
+    """
+    x = tuple(float(c) for c in xi)
+    e = tuple(float(c) for c in eta)
+    gamma = [float(c) for c in gorenstein_vector(data)]
+    v, g = vol(form, x, 1)
+    return -dot(gamma, e) - dot(gamma, x) / data.rank * dot(g, e) / v
+
+
+def _det3(a, b, c) -> Fraction:
+    return (
+        a[0] * (b[1] * c[2] - b[2] * c[1])
+        - a[1] * (b[0] * c[2] - b[2] * c[0])
+        + a[2] * (b[0] * c[1] - b[1] * c[0])
+    )
+
+
+def msy_vol(vertices, xi) -> Fraction:
+    """Martelli-Sparks-Yau per-ray volume (hep-th/0503183) of the cone over a
+    lattice polygon at height 1 with no boundary (gamma = e_3):
+
+        vol(xi) = sum_i det(V_{i-1}, V_i, V_{i+1})
+                  / (det(xi, V_{i-1}, V_i) det(xi, V_i, V_{i+1})) / xi_3,
+
+    V_i = (v_i, 1) for the counterclockwise hull vertices v_i.  Uses only the
+    vertices: no dual cone and no triangulation.
+    """
+    x = tuple(Fraction(c) for c in xi)
+    rays = [(Fraction(a), Fraction(b), Fraction(1)) for a, b in vertices]
+    d = len(rays)
+    total = Fraction(0)
+    for i in range(d):
+        prev, cur, nxt = rays[i - 1], rays[i], rays[(i + 1) % d]
+        total += _det3(prev, cur, nxt) / (_det3(x, prev, cur) * _det3(x, cur, nxt))
+    return total / x[2]
+
+
+# ---------------------------------------------------------------------------
 # random instances
 # ---------------------------------------------------------------------------
 
@@ -303,3 +351,32 @@ def random_primary_ideal(rng: random.Random, nvars: int):
         if any(g):
             gens.append(g)
     return MonomialIdeal(nvars=nvars, generators=tuple(gens))
+
+
+def _hull_ccw(points) -> list[tuple[int, int]]:
+    """Counterclockwise convex hull vertices (Andrew's monotone chain)."""
+    pts = sorted(set(points))
+
+    def cross(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    def half(seq):
+        out: list[tuple[int, int]] = []
+        for p in seq:
+            while len(out) >= 2 and cross(out[-2], out[-1], p) <= 0:
+                out.pop()
+            out.append(p)
+        return out
+
+    lower, upper = half(pts), half(reversed(pts))
+    return lower[:-1] + upper[:-1]
+
+
+def random_lattice_polygon(rng: random.Random):
+    """3-8 distinct points of [-3, 3]^2 spanning a polygon, with the
+    counterclockwise vertices of their hull."""
+    while True:
+        points = {(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(rng.randint(3, 8))}
+        hull = _hull_ccw(points)
+        if len(hull) >= 3:
+            return sorted(points), hull

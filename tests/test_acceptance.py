@@ -134,8 +134,9 @@ def test_acceptance_05_futaki_linearity_and_derivative_identity():
         scale = max(1.0, abs(a * r1.fut) + abs(b * r2.fut))
         assert abs(rc.fut - (a * r1.fut + b * r2.fut)) <= 1e-9 * scale
         # derivative-identity residual: the two evaluation routes agree
-        for r in (r1, r2, rc):
-            assert abs(r.fut - r.fut_hvol_route) <= 1e-9 * max(1.0, abs(r.fut))
+        for r, eta in ((r1, e1), (r2, e2), (rc, combo)):
+            hvol_route = oracles.futaki_hvol_route(data, form, xi, eta)
+            assert abs(r.fut - hvol_route) <= 1e-9 * max(1.0, abs(r.fut))
     _report(5, "Futaki linearity and vol/hvol derivative identity, residuals < 1e-9 rel, 100 samples")
 
 

@@ -85,7 +85,7 @@ def test_futaki_cli(capsys):
     )
     assert code == 0
     assert abs(payload["result"]["fut"] - 0.5) < 1e-10
-    assert set(payload["result"]) == {"fut", "fut_hvol_route", "t_xi_eta"}
+    assert set(payload["result"]) == {"fut", "t_xi_eta"}
 
 
 def test_index_char_cli_and_csv(tmp_path, capsys):
@@ -165,6 +165,42 @@ def test_minimize_csv_scan(tmp_path, capsys):
     lines = csv.read_text().strip().splitlines()
     assert lines[0] == "t,hvol"
     assert len(lines) == 12
+
+
+def test_degenerate_minimize_options_exit_2(tmp_path, capsys):
+    csv = tmp_path / "scan.csv"
+    scan = ["--csv", str(csv), "--segment", "3,1:1,3"]
+    for flags in (scan + ["--steps", "0"], scan + ["--steps", "-3"], ["--max-iters", "-1"], ["--tol", "-1"]):
+        code, payload = run_cli(capsys, "minimize", "--input", corpus_path("c2.json"), *flags)
+        assert code == 2
+        assert payload["error"] == "invalid-input"
+    assert not csv.exists()
+
+
+def test_futaki_invalid_eta_and_boundary_xi0_exit_2(capsys):
+    c2 = corpus_path("c2.json")
+    code, payload = run_cli(capsys, "futaki", "--input", c2, "--xi0", "1,2", "--eta", "1,0,0")
+    assert code == 2
+    assert payload == {"error": "invalid-input", "detail": "eta must live in the same co-weight space as xi0"}
+    code, payload = run_cli(capsys, "futaki", "--input", c2, "--xi0", "1,0", "--eta", "1,0")
+    assert code == 2
+    assert payload == {
+        "error": "not-in-reeb-cone",
+        "detail": "(Fraction(1, 1), Fraction(0, 1)) is not strictly interior to sigma",
+    }
+
+
+def test_lct_over_the_rank_limit_exit_2(tmp_path, capsys):
+    # 7 variables, 21 generators: x_i^2, x_i x_{i+1}, x_i x_{i+2} (indices mod 7)
+    gens = [[int(j == i) + int(j == (i + s) % 7) for j in range(7)] for s in (0, 1, 2) for i in range(7)]
+    path = tmp_path / "ideal7.json"
+    path.write_text(json.dumps({"n": 7, "generators": gens}))
+    code, payload = run_cli(capsys, "lct", "--input", str(path))
+    assert code == 2
+    assert payload == {
+        "error": "invalid-input",
+        "detail": "desk-scale limits exceeded (rank <= 6, rays <= 64)",
+    }
 
 
 def test_validation_error_exit_2(tmp_path, capsys):

@@ -3,15 +3,16 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import pytest
+
 from fanocone import (
+    NotInReebCone,
     ToricConeData,
     build_volume_form,
     futaki,
     gorenstein_vector,
     minimize_volume,
-    normalize_config,
     normalized_volume,
-    product_config,
     t_normalize,
     vol,
 )
@@ -30,36 +31,15 @@ C2_FORM = build_volume_form(C2)
 
 
 # ---------------------------------------------------------------------------
-# normalization
+# T(eta)
 # ---------------------------------------------------------------------------
-
-
-def test_normalize_config_scales_to_slice():
-    cfg = product_config(C2, (1, 2), (1, 0))
-    norm = normalize_config(C2, cfg)
-    assert norm.xi0.coords == (Fraction(2, 3), Fraction(4, 3))
-    gamma = gorenstein_vector(C2)
-    assert dot(gamma, norm.xi0.coords) == 2
-    assert dot(gamma, norm.eta) == 0
-    # b * xi0 + eta with a = 2/3, b = -1/3
-    assert norm.eta == (Fraction(2, 3), Fraction(-2, 3))
-
-
-def test_normalize_config_fixed_point_and_idempotence():
-    cfg = product_config(C2, (1, 1), (1, -1))
-    assert cfg.normalized
-    norm = normalize_config(C2, cfg)
-    assert norm.xi0.coords == (1, 1)
-    assert norm.eta == (1, -1)
-    again = normalize_config(C2, norm)
-    assert again.xi0.coords == norm.xi0.coords and again.eta == norm.eta
 
 
 def test_t_normalize_examples():
     assert t_normalize(C2, (1, 1), (1, 0)) == (Fraction(1, 2), Fraction(-1, 2))
-    # on a normalized configuration, T is the identity on eta
-    cfg = normalize_config(C2, product_config(C2, (1, 2), (1, 0)))
-    assert t_normalize(C2, cfg.xi0, cfg.eta) == cfg.eta
+    # on a normalized configuration, A(xi0) = n and A(eta) = 0, T is the identity on eta
+    xi0, eta = (Fraction(2, 3), Fraction(4, 3)), (Fraction(2, 3), Fraction(-2, 3))
+    assert t_normalize(C2, xi0, eta) == eta
     # antisymmetry: eta = xi0 maps to zero
     assert t_normalize(C2, (1, 2), (1, 2)) == (0, 0)
 
@@ -92,7 +72,7 @@ def test_futaki_hand_value_one_half():
     # d/deps hvol((1,2) - eps (1,0)) = 3/2, denominator n A^{n-1} vol = 3
     report = futaki(C2, C2_FORM, xi0=(1, 2), eta=(1, 0))
     assert abs(report.fut - 0.5) < 1e-10
-    assert abs(report.fut_hvol_route - 0.5) < 1e-10
+    assert abs(oracles.futaki_hvol_route(C2, C2_FORM, (1, 2), (1, 0)) - 0.5) < 1e-10
 
 
 def test_futaki_hand_value_other_axis():
@@ -138,7 +118,18 @@ def test_direct_and_hvol_routes_agree_on_random_inputs():
         eta = tuple(rng.uniform(-2, 2) for _ in range(data.rank))
         report = futaki(data, form, xi0=xi, eta=eta)
         scale = max(1.0, abs(report.fut))
-        assert abs(report.fut - report.fut_hvol_route) <= 1e-9 * scale
+        assert abs(report.fut - oracles.futaki_hvol_route(data, form, xi, eta)) <= 1e-9 * scale
+
+
+def test_futaki_rejects_eta_of_the_wrong_length():
+    with pytest.raises(ValueError, match="eta must live in the same co-weight space as xi0"):
+        futaki(C2, C2_FORM, xi0=(1, 2), eta=(1, 0, 0))
+
+
+def test_futaki_rejects_boundary_xi0():
+    with pytest.raises(NotInReebCone) as exc:
+        futaki(C2, C2_FORM, xi0=(1, 0), eta=(1, 0))
+    assert str(exc.value) == "(Fraction(1, 1), Fraction(0, 1)) is not strictly interior to sigma"
 
 
 def test_futaki_of_xi0_itself_is_exactly_zero():

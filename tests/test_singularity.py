@@ -1,23 +1,17 @@
 from __future__ import annotations
 
-import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from fanocone import (
-    IRREGULAR,
-    QUASI_REGULAR,
     NotInReebCone,
     NotKlt,
     NotQGorenstein,
-    RoundingExitsCone,
     ToricConeData,
-    classify_regularity,
     gorenstein_vector,
     log_discrepancy,
-    rationalize,
     reeb,
 )
 
@@ -104,49 +98,6 @@ def test_log_discrepancy_is_linear():
         b = Fraction(rng.randint(1, 9), rng.randint(1, 9))
         combo = tuple(a * x + b * y for x, y in zip(xi, eta))
         assert log_discrepancy(data, combo) == a * log_discrepancy(data, xi) + b * log_discrepancy(data, eta)
-
-
-def test_classify_regularity_exact_inputs():
-    c2 = _orthant_data(2)
-    assert classify_regularity(c2, (2, 4)) == QUASI_REGULAR
-    assert classify_regularity(_orthant_data(3), (1, 1, 1)) == QUASI_REGULAR
-
-
-def test_classify_regularity_float_inputs():
-    c2 = _orthant_data(2)
-    assert classify_regularity(c2, (1.0, math.sqrt(2)), tol=1e-9, denominator_bound=10**4) == IRREGULAR
-    assert classify_regularity(c2, (1.5, 3.0)) == QUASI_REGULAR
-    # scaling an irrational direction does not change the verdict
-    s = 0.37
-    assert classify_regularity(c2, (s, s * math.sqrt(2))) == IRREGULAR
-
-
-def test_rationalize_examples():
-    c2 = _orthant_data(2)
-    assert rationalize(c2, (1.0, math.sqrt(2)), 5).coords == (5, 7)
-    assert rationalize(c2, (1, 1), 3).coords == (3, 3)
-    phi = (1 + math.sqrt(5)) / 2
-    assert rationalize(c2, (1.0, phi), 8).coords == (8, 13)
-
-
-def test_rationalize_bound_and_convergence():
-    c2 = _orthant_data(2)
-    xi = (1.0, math.sqrt(2))
-    for k in (5, 21, 144, 1000):
-        approx = rationalize(c2, xi, k)
-        assert max(abs(float(a) - k * x) for a, x in zip(approx.coords, xi)) <= 0.5
-    errs = [
-        max(abs(float(a) / k - x) for a, x in zip(rationalize(c2, xi, k).coords, xi))
-        for k in (10, 100, 1000)
-    ]
-    assert errs[2] < errs[0]
-
-
-def test_rationalize_exits_narrow_cone():
-    narrow = ToricConeData.make(2, [(1, 0), (1000, 1)])
-    with pytest.raises(RoundingExitsCone):
-        rationalize(narrow, (1.0, 0.0004), 1)
-    assert rationalize(narrow, (1.0, 0.0004), 10000).coords == (10000, 4)
 
 
 def test_reeb_vector_exactness_inference():

@@ -161,6 +161,19 @@ def test_orders_agree_and_satisfy_euler_identities_exactly():
         vol(form, xi, 3)
 
 
+def test_vol_matches_msy_per_ray_formula_on_random_polygons():
+    # rank 3 against a closed form in the polygon's vertices alone, exactly,
+    # at a rational interior xi and at its rescaling onto the slice A = 3
+    rng = random.Random(101)
+    for _ in range(100):
+        points, hull = oracles.random_lattice_polygon(rng)
+        data = ToricConeData.make(3, [(a, b, 1) for a, b in points])
+        form = build_volume_form(data)
+        xi = oracles.random_interior_rational(rng, data)
+        for x in (xi, tuple(3 * c / xi[2] for c in xi)):
+            assert vol(form, x) == oracles.msy_vol(hull, x)
+
+
 # ---------------------------------------------------------------------------
 # normalized volume
 # ---------------------------------------------------------------------------
@@ -378,3 +391,17 @@ def test_scan_hvol_is_convex_along_segment():
     for i in range(1, len(vals) - 1):
         assert vals[i] <= max(vals[i - 1], vals[i + 1]) + 1e-12
     assert min(vals) >= 4.0 - 1e-12
+
+
+def test_scan_hvol_rejects_fewer_than_one_step():
+    data = _orthant_data(2)
+    form = build_volume_form(data)
+    for steps in (0, -3):
+        with pytest.raises(ValueError, match="steps must be at least 1"):
+            scan_hvol(data, form, (3.0, 1.0), (1.0, 3.0), steps=steps)
+
+
+@pytest.mark.parametrize("options", [{"max_iters": -1}, {"tol": -1.0}, {"tol": float("nan")}])
+def test_minimize_rejects_negative_options(options):
+    with pytest.raises(ValueError, match="must be non-negative"):
+        minimize_volume(_orthant_data(2), **options)
