@@ -23,7 +23,7 @@ from operator import and_
 from typing import Sequence
 
 from .errors import DualTooLarge, NotFullDim, NotPointed
-from .linalg import dot, int_adjugate, int_det, invert, primitive, rank
+from .linalg import dot, int_adjugate, int_det, primitive, rank
 
 MAX_RANK = 6
 MAX_RAYS = 64
@@ -81,15 +81,15 @@ class SimplicialDecomposition:
 # ---------------------------------------------------------------------------
 
 
-def _dd_extreme_rays(constraints: Sequence[tuple[int, ...]], n: int) -> list[tuple[int, ...]]:
-    """Extreme rays of {y : <a, y> >= 0 for a in constraints}.
+def extreme_rays(constraints: Sequence[tuple[int, ...]], n: int) -> list[tuple[int, ...]]:
+    """Extreme rays of {y : <a, y> >= 0 for a in constraints}, sorted.
 
     Requires the constraint vectors to span R^n (which makes the intersection
     pointed).  Incremental double description with the algebraic adjacency
     test: two rays are adjacent when their common tight constraints have rank
-    n - 2.
+    n - 2.  The start is cut out by a greedy maximal independent subset of
+    the constraints; its rays are the rows of sign(det) adj of that subset.
     """
-    # Greedy maximal independent subset for the simplicial start.
     chosen: list[int] = []
     for i in range(len(constraints)):
         if rank([constraints[j] for j in chosen] + [constraints[i]]) > len(chosen):
@@ -99,9 +99,7 @@ def _dd_extreme_rays(constraints: Sequence[tuple[int, ...]], n: int) -> list[tup
     if len(chosen) < n:
         raise ValueError("constraints do not span the ambient space")
 
-    inv = invert([constraints[i] for i in chosen])  # columns are the dual basis
-    rays = [primitive(tuple(row[j] for row in inv)) for j in range(n)]
-
+    rays = [primitive(h) for h in _simplex_inner_normals([constraints[i] for i in chosen])[1]]
     processed = list(chosen)
     remaining = [i for i in range(len(constraints)) if i not in chosen]
     for ci in remaining:
@@ -124,10 +122,7 @@ def _dd_extreme_rays(constraints: Sequence[tuple[int, ...]], n: int) -> list[tup
                     cand = tuple(vu * x - vw * y for x, y in zip(w, u))
                     new.append(primitive(cand))
         processed.append(ci)
-        seen = dict.fromkeys(keep)
-        for r in new:
-            seen.setdefault(r)
-        rays = list(seen)
+        rays = list(dict.fromkeys(keep + new))
     return sorted(set(rays))
 
 
@@ -143,7 +138,7 @@ def dual_cone(c: Cone) -> Cone:
     """
     if rank(c.rays) < c.rank:
         raise NotFullDim(f"rays span a {rank(c.rays)}-dimensional subspace of rank {c.rank}")
-    dual_rays = _dd_extreme_rays(c.rays, c.rank)
+    dual_rays = extreme_rays(c.rays, c.rank)
     if not dual_rays or rank(dual_rays) < c.rank:
         raise NotPointed("cone contains a line")
     if len(dual_rays) > MAX_RAYS:

@@ -2,7 +2,9 @@
 ideals, as an exact desk-scale oracle for the normalized-multiplicity bound.
 
 For a monomial ideal primary to the maximal ideal, the Newton polyhedron
-P = conv(generators) + R^n_{>=0} determines both invariants exactly:
+P = conv(generators) + R^n_{>=0} determines both invariants exactly through
+its bounded facets <w, x> >= c, which the double description finds as the
+dual rays (w, -c), w > 0 and c > 0, of the homogenized cone over P:
 
 * multiplicity = n! * volume of the bounded region between the coordinate
   orthant and P (computed by triangulating the pyramid over each bounded
@@ -21,9 +23,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .cones import MAX_RANK, MAX_RAYS, Cone, triangulate
+from .cones import MAX_RANK, MAX_RAYS, Cone, extreme_rays, triangulate
 from .errors import NotPrimary
-from .linalg import dot, int_det, nullspace, primitive
+from .linalg import dot, int_det, primitive
 
 
 @dataclass(frozen=True)
@@ -71,30 +73,19 @@ def newton_facets(ideal: MonomialIdeal) -> tuple[tuple[tuple[int, ...], int], ..
     """Bounded facets of the Newton polyhedron as (inner normal, offset).
 
     Each facet satisfies <w, x> >= c on P with w strictly positive (primary
-    ideals admit no bounded facet with a zero normal entry) and c > 0.
+    ideals admit no bounded facet with a zero normal entry) and c > 0.  They
+    are the dual rays (w, -c) of the homogenized cone over (g, 1) for each
+    generator g and (e_i, 0) for each variable, taken from ``extreme_rays``
+    directly because its rank n + 1 may exceed the ``Cone`` limit MAX_RANK.
     """
     check_primary(ideal)
     n = ideal.nvars
-    gens = ideal.generators
-    facets: dict[tuple[int, ...], int] = {}
-    if n == 1:
-        a = min(g[0] for g in gens)
-        return (((1,), a),)
-    for subset in itertools.combinations(gens, n):
-        diffs = [tuple(a - b for a, b in zip(g, subset[0])) for g in subset[1:]]
-        kern = nullspace(diffs)
-        if len(kern) != 1:
-            continue  # affinely dependent or not a hyperplane
-        w = primitive(kern[0])
-        c = dot(w, subset[0])
-        if c < 0:
-            w = tuple(-x for x in w)
-            c = -c
-        if c == 0 or any(x <= 0 for x in w):
-            continue
-        if all(dot(w, g) >= c for g in gens):
-            facets[w] = int(c)
-    return tuple(sorted(facets.items()))
+    constraints = [g + (1,) for g in ideal.generators]
+    constraints += [tuple(int(j == i) for j in range(n + 1)) for i in range(n)]
+    return tuple(
+        (r[:n], -r[n]) for r in extreme_rays(constraints, n + 1)
+        if r[n] < 0 and all(x > 0 for x in r[:n])
+    )
 
 
 @lru_cache(maxsize=512)
@@ -122,8 +113,7 @@ def multiplicity(ideal: MonomialIdeal) -> Fraction:
 @lru_cache(maxsize=512)
 def lct(ideal: MonomialIdeal) -> Fraction:
     """Log canonical threshold: the largest c with (1,...,1) in c * P."""
-    vals = [Fraction(sum(w), c) for w, c in newton_facets(ideal)]
-    return min(vals)
+    return min(Fraction(sum(w), c) for w, c in newton_facets(ideal))
 
 
 def normalized_multiplicity(ideal: MonomialIdeal) -> Fraction:

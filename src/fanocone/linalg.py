@@ -1,5 +1,5 @@
-"""Exact linear algebra: rationals on tuples of Fractions, and integer
-matrices (determinant, adjugate) in Python ints.
+"""Exact linear algebra: rank, kernel and solve on tuples of Fractions, and
+integer matrices (determinant, adjugate in place of an inverse) in Python ints.
 
 Everything here is dense and small (rank <= 6, tens of rows), so the
 routines favor exactness and clarity over asymptotics.  Floats never enter;
@@ -184,14 +184,3 @@ def nullspace(rows: Sequence[Sequence[Rat]]) -> list[Vec]:
             v[c] = -m[i][f]
         basis.append(tuple(v))
     return basis
-
-
-def invert(rows: Sequence[Sequence[Rat]]) -> list[Vec]:
-    """Exact inverse of a square nonsingular rational matrix."""
-    n = len(rows)
-    aug = [[Fraction(x) for x in r] + [Fraction(int(i == j)) for j in range(n)]
-           for i, r in enumerate(rows)]
-    m, pivots = _echelon(aug)
-    if pivots[:n] != list(range(n)):
-        raise ValueError("matrix is singular")
-    return [tuple(m[i][n:]) for i in range(n)]

@@ -143,6 +143,11 @@ def _rat_str(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
+def _coords_str(c: Coords) -> str:
+    """Exact coordinates as '(1, 1/2)'; float coordinates as their repr."""
+    return "(" + ", ".join(map(_rat_str, c)) + ")" if isinstance(c[0], Fraction) else str(c)
+
+
 @lru_cache(maxsize=16)
 def gorenstein_vector(data: ToricConeData) -> Vec:
     """Validate the singularity data and return the Gorenstein covector.
@@ -173,5 +178,5 @@ def log_discrepancy(data: ToricConeData, xi):
     """
     c = coords_of(xi)
     if not contains(data.sigma, c, strict=True):
-        raise NotInReebCone(f"{c} is not strictly interior to sigma")
+        raise NotInReebCone(f"{_coords_str(c)} is not strictly interior to sigma")
     return dot(gorenstein_vector(data), c)

@@ -34,6 +34,7 @@ from .linalg import dot, nullspace
 from .singularity import (
     ReebVector,
     ToricConeData,
+    _coords_str,
     coords_of,
     gorenstein_vector,
     log_discrepancy,
@@ -78,7 +79,7 @@ def build_volume_form(data: ToricConeData) -> VolumeForm:
 def _check_interior(form: VolumeForm, xi: Sequence) -> None:
     for u in form.dual_rays:
         if dot(u, xi) <= 0:
-            raise NotInReebCone(f"linear factor <{u}, xi> is nonpositive at xi={tuple(xi)}")
+            raise NotInReebCone(f"linear factor <{u}, xi> is nonpositive at xi={_coords_str(xi)}")
 
 
 def vol(form: VolumeForm, xi, order: int = 0):

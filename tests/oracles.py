@@ -22,7 +22,30 @@ from fanocone import (
     gorenstein_vector,
     vol,
 )
-from fanocone.linalg import dot, int_det, invert
+from fanocone.linalg import dot, int_det, nullspace, primitive
+
+
+# ---------------------------------------------------------------------------
+# exact linear algebra
+# ---------------------------------------------------------------------------
+
+
+def invert(rows) -> list[tuple[Fraction, ...]]:
+    """Exact inverse of a square nonsingular rational matrix, by Fraction
+    Gauss-Jordan elimination of [A | I]."""
+    n = len(rows)
+    m = [[Fraction(x) for x in r] + [Fraction(int(i == j)) for j in range(n)] for i, r in enumerate(rows)]
+    for c in range(n):
+        piv = next((i for i in range(c, n) if m[i][c] != 0), None)
+        if piv is None:
+            raise ValueError("matrix is singular")
+        m[c], m[piv] = m[piv], m[c]
+        m[c] = [x / m[c][c] for x in m[c]]
+        for i in range(n):
+            if i != c and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
+    return [tuple(r[n:]) for r in m]
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +302,37 @@ def msy_vol(vertices, xi) -> Fraction:
         prev, cur, nxt = rays[i - 1], rays[i], rays[(i + 1) % d]
         total += _det3(prev, cur, nxt) / (_det3(x, prev, cur) * _det3(x, cur, nxt))
     return total / x[2]
+
+
+def newton_facets_by_subsets(ideal) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Bounded facets of the Newton polyhedron as (inner normal, offset), by
+    trying every n-subset of the generators as the vertices of a facet: each
+    affinely independent subset spans a hyperplane, kept when its normal is
+    strictly positive, its offset positive and no generator lies below it."""
+    from fanocone.ideals import check_primary
+
+    check_primary(ideal)
+    n = ideal.nvars
+    gens = ideal.generators
+    facets: dict[tuple[int, ...], int] = {}
+    if n == 1:
+        a = min(g[0] for g in gens)
+        return (((1,), a),)
+    for subset in itertools.combinations(gens, n):
+        diffs = [tuple(a - b for a, b in zip(g, subset[0])) for g in subset[1:]]
+        kern = nullspace(diffs)
+        if len(kern) != 1:
+            continue  # affinely dependent or not a hyperplane
+        w = primitive(kern[0])
+        c = dot(w, subset[0])
+        if c < 0:
+            w = tuple(-x for x in w)
+            c = -c
+        if c == 0 or any(x <= 0 for x in w):
+            continue
+        if all(dot(w, g) >= c for g in gens):
+            facets[w] = int(c)
+    return tuple(sorted(facets.items()))
 
 
 # ---------------------------------------------------------------------------

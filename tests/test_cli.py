@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -186,8 +187,19 @@ def test_futaki_invalid_eta_and_boundary_xi0_exit_2(capsys):
     assert code == 2
     assert payload == {
         "error": "not-in-reeb-cone",
-        "detail": "(Fraction(1, 1), Fraction(0, 1)) is not strictly interior to sigma",
+        "detail": "(1, 0) is not strictly interior to sigma",
     }
+
+
+def test_lct_cube_of_the_maximal_ideal_in_five_variables(tmp_path, capsys):
+    monomials = itertools.combinations_with_replacement(range(5), 3)
+    gens = [[m.count(j) for j in range(5)] for m in monomials]
+    path = tmp_path / "m3_in_5.json"
+    path.write_text(json.dumps({"n": 5, "generators": gens}))
+    code, payload = run_cli(capsys, "lct", "--input", str(path))
+    assert code == 0
+    result = payload["result"]
+    assert (result["mult"], result["lct"], result["satisfied"]) == ("243", "5/3", True)
 
 
 def test_lct_over_the_rank_limit_exit_2(tmp_path, capsys):
@@ -230,7 +242,10 @@ def test_non_interior_xi_exit_2(capsys):
         capsys, "vol", "--input", corpus_path("c2.json"), "--xi0", "1,0"
     )
     assert code == 2
-    assert payload["error"] == "not-in-reeb-cone"
+    assert payload == {
+        "error": "not-in-reeb-cone",
+        "detail": "linear factor <(0, 1), xi> is nonpositive at xi=(1, 0)",
+    }
 
 
 def test_malformed_json_exit_2(tmp_path, capsys):

@@ -21,7 +21,7 @@ from fanocone import (
     triangulate,
 )
 from fanocone.cones import MAX_RAYS, _simplex_inner_normals
-from fanocone.linalg import dot, int_adjugate, int_det, invert, primitive, rank
+from fanocone.linalg import dot, int_adjugate, int_det, primitive, rank
 
 import oracles
 
@@ -251,7 +251,7 @@ def _assert_masks_partition(c: Cone, dec, box) -> None:
     inverses = []
     for k in range(len(masks)):
         rays = dec.simplex_rays(k)
-        inverses.append(invert([[r[i] for r in rays] for i in range(c.rank)]))
+        inverses.append(oracles.invert([[r[i] for r in rays] for i in range(c.rank)]))
     for pt in box:
         hits = 0
         for inv, mask in zip(inverses, masks):

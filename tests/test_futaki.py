@@ -129,7 +129,7 @@ def test_futaki_rejects_eta_of_the_wrong_length():
 def test_futaki_rejects_boundary_xi0():
     with pytest.raises(NotInReebCone) as exc:
         futaki(C2, C2_FORM, xi0=(1, 0), eta=(1, 0))
-    assert str(exc.value) == "(Fraction(1, 1), Fraction(0, 1)) is not strictly interior to sigma"
+    assert str(exc.value) == "(1, 0) is not strictly interior to sigma"
 
 
 def test_futaki_of_xi0_itself_is_exactly_zero():

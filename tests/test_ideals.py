@@ -103,6 +103,30 @@ def test_newton_facets_strictly_positive_normals():
             assert c > 0
 
 
+def test_powers_of_the_maximal_ideal_in_four_to_six_variables():
+    # e(m^k) = k^n and lct(m^k) = n / k; with 21-35 generators each, a search
+    # over n-subsets of the generators takes seconds to minutes here
+    for n, k in ((4, 4), (5, 3), (6, 2)):
+        ideal = ideal_power(I(n, [tuple(int(j == i) for j in range(n)) for i in range(n)]), k)
+        assert multiplicity(ideal) == k**n
+        assert lct(ideal) == Fraction(n, k)
+
+
+def test_newton_facets_match_the_subset_search():
+    rng = random.Random(131)
+    for _ in range(60):
+        ideal = oracles.random_primary_ideal(rng, rng.randint(1, 4))
+        assert newton_facets(ideal) == oracles.newton_facets_by_subsets(ideal)
+    checked = 0
+    while checked < 8:
+        n = rng.randint(5, 6)
+        ideal = oracles.random_primary_ideal(rng, n)
+        if len(ideal.generators) > n + 3:
+            continue  # keep the subset search fast
+        assert newton_facets(ideal) == oracles.newton_facets_by_subsets(ideal)
+        checked += 1
+
+
 def test_monomial_ideal_over_the_rank_limit_is_rejected_at_construction():
     with pytest.raises(ValueError, match=r"desk-scale limits exceeded \(rank <= 6, rays <= 64\)"):
         I(7, [tuple(2 * int(j == i) for j in range(7)) for i in range(7)])
